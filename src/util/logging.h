@@ -9,7 +9,9 @@
  * - warn():   something is suboptimal or approximated but execution can
  *             continue meaningfully.
  * - fatal():  the simulation cannot continue because of a *user* error
- *             (bad configuration, invalid arguments); exits with code 1.
+ *             (bad configuration, invalid arguments); exits with code 1,
+ *             also in a forked child (e.g. a death test) of a process
+ *             whose thread pool has started.
  * - panic():  an internal invariant was violated (a bug in cpullm);
  *             aborts so a debugger/core dump can capture state.
  */
@@ -107,7 +109,8 @@ warn(Args&&... args)
 
 /**
  * Terminate due to a user error (bad config/arguments).
- * Calls std::exit(1).
+ * Calls std::exit(1), which exits 1 in a forked child too: the thread
+ * pool is never destroyed at exit (see util/thread_pool.h).
  */
 #define CPULLM_FATAL(...)                                                    \
     ::cpullm::detail::fatalImpl(                                             \

@@ -1,11 +1,15 @@
 #include "util/thread_pool.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <exception>
 #include <memory>
+#include <new>
+#include <thread>
 
 #include "util/parallel.h"
 #include "util/thread_registry.h"
@@ -25,6 +29,10 @@ struct ParallelRegionMark
     ParallelRegionMark() { tls_in_parallel = true; }
     ~ParallelRegionMark() { tls_in_parallel = false; }
 };
+
+/** The constructed pool, for the fork child handler (which must not
+ *  touch instance()'s initialization guard). */
+ThreadPool* g_pool = nullptr;
 
 } // namespace
 
@@ -63,8 +71,11 @@ struct ThreadPool::Job
 ThreadPool&
 ThreadPool::instance()
 {
-    static ThreadPool pool;
-    return pool;
+    // Built in static storage and never destroyed: a destructor would
+    // join the workers at exit(), and a forked child has none to join.
+    alignas(ThreadPool) static unsigned char storage[sizeof(ThreadPool)];
+    static ThreadPool* const pool = new (storage) ThreadPool;
+    return *pool;
 }
 
 ThreadPool::ThreadPool()
@@ -72,20 +83,31 @@ ThreadPool::ThreadPool()
     std::size_t hw = std::thread::hardware_concurrency();
     if (hw == 0)
         hw = 1;
-    workers_.reserve(hw - 1);
-    for (std::size_t id = 0; id + 1 < hw; ++id)
-        workers_.emplace_back([this, id] { workerLoop(id); });
+    // Workers park for the life of the process on a pool that is never
+    // destroyed, so nothing ever joins them.
+    for (std::size_t id = 0; id + 1 < hw; ++id) {
+        std::thread([this, id] { workerLoop(id); }).detach();
+        ++workers_;
+    }
+    g_pool = this;
+    pthread_atfork(nullptr, nullptr, &ThreadPool::resetInForkedChild);
 }
 
-ThreadPool::~ThreadPool()
+void
+ThreadPool::resetInForkedChild()
 {
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        stop_ = true;
-    }
-    cv_.notify_all();
-    for (auto& t : workers_)
-        t.join();
+    // Only the forking thread survives into the child: drop the workers
+    // and any job another thread had published, and rebuild the locks,
+    // which a vanished thread may have held. Reusing their storage
+    // without running the old destructors is fine; those destructors
+    // have no effect we rely on.
+    ThreadPool& p = *g_pool;
+    p.workers_ = 0;
+    p.job_ = nullptr;
+    new (&p.mu_) std::mutex;
+    new (&p.cv_) std::condition_variable;
+    new (&p.doneCv_) std::condition_variable;
+    new (&p.submitMu_) std::mutex;
 }
 
 bool
@@ -98,7 +120,7 @@ ThreadPool::Stats
 ThreadPool::stats() const
 {
     Stats s;
-    s.poolSize = workers_.size();
+    s.poolSize = workers_;
     s.parallelOps = parallelOps_.load(std::memory_order_relaxed);
     s.serialOps = serialOps_.load(std::memory_order_relaxed);
     s.inlineOps = inlineOps_.load(std::memory_order_relaxed);
@@ -181,10 +203,8 @@ ThreadPool::workerLoop(std::size_t id)
         {
             std::unique_lock<std::mutex> lk(mu_);
             cv_.wait(lk, [&] {
-                return stop_ || (job_ != nullptr && generation_ != seen);
+                return job_ != nullptr && generation_ != seen;
             });
-            if (stop_)
-                return;
             seen = generation_;
             // Lanes beyond the job's width sit this one out, which is
             // how setMaxThreads() keeps pooled loops within its cap.
@@ -226,7 +246,7 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
     }
 
     const std::size_t width = hardwareThreads();
-    if (width <= 1 || total <= grain || workers_.empty()) {
+    if (width <= 1 || total <= grain || workers_ == 0) {
         serialOps_.fetch_add(1, std::memory_order_relaxed);
         serialRun(begin, end, fn);
         return;
@@ -243,7 +263,7 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
 
     const std::size_t nchunks = (total + grain - 1) / grain;
     const std::size_t lanes =
-        std::min({width, workers_.size() + 1, nchunks});
+        std::min({width, workers_ + 1, nchunks});
 
     Job job;
     job.fn = &fn;

@@ -17,6 +17,13 @@
  * calls from inside a loop body run inline on the calling thread, so
  * code running on pool workers can never deadlock the pool.
  *
+ * The pool lives for the whole process and is never destroyed, so
+ * exit() (fatal() included) never joins its workers. A forked child
+ * starts with an empty pool: zero workers, no published job and no
+ * lock held, so its loops run serially and exit() there returns the
+ * requested code. A fork leaves the parent's pool unchanged. Forking
+ * from inside a loop body is not supported.
+ *
  * Like parallelFor itself, this is purely about host execution speed
  * of the functional kernels; simulated timing (src/perf) is unaffected.
  */
@@ -27,8 +34,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <thread>
-#include <vector>
 
 namespace cpullm {
 
@@ -50,8 +55,9 @@ class ThreadPool
     /** The process-wide pool; workers start on the first call. */
     static ThreadPool& instance();
 
-    /** Long-lived worker threads (hardware_concurrency - 1; may be 0). */
-    std::size_t workerCount() const { return workers_.size(); }
+    /** Long-lived worker threads (hardware_concurrency - 1; may be 0;
+     *  always 0 in a forked child). */
+    std::size_t workerCount() const { return workers_; }
 
     /**
      * Run fn(i) for i in [begin, end) across the pool, blocking until
@@ -75,7 +81,8 @@ class ThreadPool
 
   private:
     ThreadPool();
-    ~ThreadPool();
+    /** Never destroyed: see the file comment. */
+    ~ThreadPool() = delete;
 
     struct Job;
 
@@ -85,16 +92,18 @@ class ThreadPool
                    std::size_t* end);
     void serialRun(std::size_t begin, std::size_t end,
                    const std::function<void(std::size_t)>& fn);
+    /** pthread_atfork child handler: empty the pool in the child. */
+    static void resetInForkedChild();
 
-    /** Guards job publication and stop; cv_ wakes workers. */
+    /** Guards job publication; cv_ wakes workers. */
     std::mutex mu_;
     std::condition_variable cv_;
     /** Signals job completion (workers leaving a job) to submitters. */
     std::condition_variable doneCv_;
     Job* job_ = nullptr;
     std::uint64_t generation_ = 0;
-    bool stop_ = false;
-    std::vector<std::thread> workers_;
+    /** Detached long-lived worker threads (0 in a forked child). */
+    std::size_t workers_ = 0;
     /** Serializes top-level submissions; a busy pool runs the second
      *  concurrent caller serially instead of blocking it. */
     std::mutex submitMu_;

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+
+#include "util/thread_pool.h"
 
 namespace cpullm {
 namespace {
@@ -52,6 +55,20 @@ TEST(FatalDeath, FatalExitsWithCode1)
 {
     EXPECT_EXIT({ CPULLM_FATAL("user error"); },
                 testing::ExitedWithCode(1), "user error");
+}
+
+TEST(FatalDeath, FatalExitsWithCode1AfterPoolStarted)
+{
+    // A pooled loop first, so the workers exist when the death test
+    // forks; the child has none of them and exit(1) must not try to
+    // join them.
+    std::atomic<std::size_t> sum{0};
+    ThreadPool::instance().parallelFor(0, 4096, [&](std::size_t i) {
+        sum.fetch_add(i, std::memory_order_relaxed);
+    });
+    ASSERT_EQ(sum.load(), std::size_t{4096} * 4095 / 2);
+    EXPECT_EXIT({ CPULLM_FATAL("user error after pool start"); },
+                testing::ExitedWithCode(1), "user error after pool start");
 }
 
 TEST(LogLevel, FromStringAcceptsTheFourNames)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
@@ -162,6 +163,57 @@ TEST(ThreadPool, ConcurrentTopLevelLoopsBothComplete)
         ASSERT_EQ(a[i].load(), 1) << "a index " << i;
         ASSERT_EQ(b[i].load(), 1) << "b index " << i;
     }
+}
+
+/** In a forked child: print @p why and exit with @p code. */
+[[noreturn]] void
+childFail(int code, const char* why)
+{
+    std::fprintf(stderr, "forked child: %s\n", why);
+    std::fflush(stderr);
+    std::_Exit(code);
+}
+
+TEST(ThreadPoolDeath, ForkedChildGetsAnEmptyPool)
+{
+    ThreadPool& pool = ThreadPool::instance();
+    if (pool.workerCount() == 0)
+        GTEST_SKIP() << "single-core host: no workers to lose in a fork";
+    // Run a pooled loop first so the workers have started and parked.
+    std::atomic<std::size_t> warm{0};
+    pool.parallelFor(0, 4096, [&](std::size_t) {
+        warm.fetch_add(1, std::memory_order_relaxed);
+    });
+    ASSERT_EQ(warm.load(), 4096u);
+    const std::size_t workers = pool.workerCount();
+
+    // The child's failures surface as distinct exit codes (gtest
+    // assertions inside the death-test child do not reach the parent).
+    EXPECT_EXIT(
+        {
+            if (pool.workerCount() != 0)
+                childFail(2, "workerCount() != 0");
+            const std::size_t n = 10000;
+            std::vector<std::atomic<int>> hits(n);
+            pool.parallelFor(0, n, [&](std::size_t i) {
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+            });
+            for (std::size_t i = 0; i < n; ++i)
+                if (hits[i].load() != 1)
+                    childFail(3, "an index was not run exactly once");
+            std::exit(0);
+        },
+        testing::ExitedWithCode(0), "");
+
+    // The parent's pool is unchanged by the fork.
+    EXPECT_EQ(pool.workerCount(), workers);
+    const ThreadPool::Stats before = pool.stats();
+    std::atomic<std::size_t> after_fork{0};
+    pool.parallelFor(0, 4096, [&](std::size_t) {
+        after_fork.fetch_add(1, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(after_fork.load(), 4096u);
+    EXPECT_GT(pool.stats().parallelOps, before.parallelOps);
 }
 
 TEST(ApplyThreadsEnv, UnsetLeavesCapAlone)
