@@ -117,9 +117,9 @@ class FusedAttention : public ::testing::TestWithParam<Case>
 {
 };
 
-TEST_P(FusedAttention, MatchesReferenceWithinTolerance)
+void
+expectMatchesReference(const Case& c)
 {
-    const Case& c = GetParam();
     Problem fused = makeProblem(c.shape, c.m, c.pos0, c.dtype);
     Problem ref = makeProblem(c.shape, c.m, c.pos0, c.dtype);
     AttnSeqView fv = fused.view();
@@ -127,6 +127,11 @@ TEST_P(FusedAttention, MatchesReferenceWithinTolerance)
     attnFused(c.shape, c.m, c.pos0, &fv, 1);
     attnRef(c.shape, c.m, c.pos0, &rv, 1);
     EXPECT_LE(maxAbsDiff(fused.out, ref.out), kAttnTolerance);
+}
+
+TEST_P(FusedAttention, MatchesReferenceWithinTolerance)
+{
+    expectMatchesReference(GetParam());
 }
 
 // MHA mirrors OPT-style geometry, GQA LLaMA-style grouped kv heads;
@@ -142,10 +147,22 @@ INSTANTIATE_TEST_SUITE_P(
         Case{"MhaPrefillBf16", {8, 8, 16}, 24, 0, DType::BF16},
         Case{"GqaPrefillBf16", {8, 2, 16}, 24, 0, DType::BF16},
         Case{"GqaPrefillF32", {8, 2, 16}, 24, 0, DType::F32},
-        Case{"GqaMidSpanPrefill", {4, 2, 16}, 7, 9, DType::BF16},
-        Case{"OddHeadDim", {4, 4, 20}, 1, 31, DType::BF16},
-        Case{"SingleRow", {2, 2, 8}, 1, 0, DType::F32}),
+        Case{"GqaMidSpanPrefill", {4, 2, 16}, 7, 9, DType::BF16}),
     [](const auto& info) { return std::string(info.param.name); });
+
+// The two edge shapes run as plain tests, so their ctest names are
+// fixed: ctest names a Shapes case after gtest's byte dump of its
+// Case, and the dump starts with the address of the name literal,
+// which ASLR moves from run to run.
+TEST(FusedAttention, OddHeadDimMatchesReferenceWithinTolerance)
+{
+    expectMatchesReference({"OddHeadDim", {4, 4, 20}, 1, 31, DType::BF16});
+}
+
+TEST(FusedAttention, SingleRowMatchesReferenceWithinTolerance)
+{
+    expectMatchesReference({"SingleRow", {2, 2, 8}, 1, 0, DType::F32});
+}
 
 TEST(FusedAttention, BatchedSequencesMatchPerSequenceCalls)
 {
