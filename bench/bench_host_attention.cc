@@ -1,11 +1,11 @@
 /**
  * @file
  * Host attention micro-benchmark: wall-clock of the fused, parallel
- * decode/prefill attention kernel (gemm::attnFused over contiguous
- * KV-cache spans) against the naive per-position loop the transformer
- * used before — readK/readV element copies through Tensor::at, one
- * scalar dot per (head, position), a two-pass softmax, and per-call
- * kbuf/vbuf/scores heap buffers.
+ * decode/prefill attention kernel (gemm::attnFusedRagged over
+ * contiguous kv::KvCache spans) against the naive per-position loop
+ * the transformer used before — readK/readV element copies through
+ * Tensor::at, one scalar dot per (head, position), a two-pass
+ * softmax, and per-call kbuf/vbuf/scores heap buffers.
  *
  * This measures *host* execution speed of the emulator — how fast
  * decode attention runs on the development machine — not simulated
@@ -230,8 +230,10 @@ struct DecodeSetup
     runFused()
     {
         std::vector<kv::KvSpan> ks, vs;
-        auto seqs = views(ks, vs);
-        gemm::attnFused(shape, 1, span - 1, seqs.data(), seqs.size());
+        std::vector<gemm::AttnRaggedSeq> slots;
+        for (const gemm::AttnSeqView& v : views(ks, vs))
+            slots.push_back({v, span - 1, 1});
+        gemm::attnFusedRagged(shape, slots.data(), slots.size());
     }
 
     void
@@ -413,13 +415,15 @@ main(int argc, char** argv)
         const double fused_s = timeLoop(min_s, [&] {
             kv::KvSpan ks = d.cache.kSpan(0, 0);
             kv::KvSpan vs = d.cache.vSpan(0, 0);
-            gemm::AttnSeqView seq;
-            seq.q = d.q.data();
-            seq.out = d.out.data();
-            seq.k = &ks;
-            seq.v = &vs;
-            seq.chunks = 1;
-            gemm::attnFused(d.shape, m, 0, &seq, 1);
+            gemm::AttnRaggedSeq slot;
+            slot.view.q = d.q.data();
+            slot.view.out = d.out.data();
+            slot.view.k = &ks;
+            slot.view.v = &vs;
+            slot.view.chunks = 1;
+            slot.pos0 = 0;
+            slot.m = m;
+            gemm::attnFusedRagged(d.shape, &slot, 1);
         });
         full.metrics["speedup/prefill_mha"] = naive_s / fused_s;
         t.addRow({"mha prefill m" + std::to_string(m), "-",

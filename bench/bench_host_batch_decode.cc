@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "core/bench_suite.h"
-#include "kv/kv_cache.h"
 #include "kv/paged_kv_cache.h"
 #include "model/spec.h"
 #include "model/transformer.h"
@@ -291,8 +290,8 @@ measureDecode(model::TransformerModel& m,
 
 /**
  * Count token mismatches between the fused ragged path and n
- * independent per-sequence runs on the contiguous cache — the
- * bitwise-equivalence contract that makes the fusion legal. Any
+ * independent per-sequence runs, each alone on its own paged cache —
+ * the bitwise-equivalence contract that makes the fusion legal. Any
  * nonzero count is a bug; the committed baseline pins exactly 0.
  */
 std::int64_t
@@ -303,23 +302,18 @@ equivalenceMismatches(model::TransformerModel& m,
     const std::int64_t n =
         static_cast<std::int64_t>(prompts.size());
     const std::int64_t final_len = kCtx + 1 + kSteps;
+    const std::int64_t per_seq =
+        (final_len + kBlockSize - 1) / kBlockSize;
 
-    // Reference: each sequence alone on the contiguous KV path.
+    // Reference: each sequence alone on its own paged cache.
     std::vector<std::vector<std::int64_t>> want(
         static_cast<std::size_t>(n));
     for (std::size_t b = 0; b < want.size(); ++b) {
-        kv::KvCache cache = m.makeKvCache(1, final_len);
-        std::vector<std::int64_t> last = m.prefill({prompts[b]}, cache);
-        want[b].push_back(last[0]);
-        for (std::int64_t step = 0; step < kSteps; ++step) {
-            last = m.decodeStep(last, cache);
-            want[b].push_back(last[0]);
-        }
+        kv::PagedKvCache cache = m.makePagedKvCache(kBlockSize, per_seq);
+        want[b] = m.generate({prompts[b]}, kSteps + 1, cache)[0];
     }
 
     // Fused: all sequences in one ragged step per iteration.
-    const std::int64_t per_seq =
-        (final_len + kBlockSize - 1) / kBlockSize;
     kv::PagedKvCache cache =
         m.makePagedKvCache(kBlockSize, n * per_seq + 4);
     std::vector<model::TransformerModel::RaggedSlot> slots(

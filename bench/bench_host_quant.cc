@@ -344,7 +344,7 @@ main(int argc, char** argv)
     }
 
     // ---- bitwise thread-count invariance of the fused kernels ----
-    // Same contract as attnFused: fixed 16-column task boundaries,
+    // Same contract as attnFusedRagged: fixed 16-column task boundaries,
     // every output element computed whole inside one task. Any
     // nonzero diff here is a bug (the baseline pins exactly 0).
     {

@@ -119,29 +119,40 @@ CpuInferenceEngine::infer(const perf::Workload& workload)
         }
         auto prompts = syntheticPrompts(spec_.vocabSize, workload.batch,
                                         workload.promptLen, seed_ + 1);
-        kv::KvCache cache = functional_->makeKvCache(
-            workload.batch, workload.finalSeqLen());
-        // Phase-split generation (equivalent to generate()) so
+        // A 16-token-block pool that holds every sequence's whole
+        // run, so neither phase can be refused admission.
+        constexpr std::int64_t kBlock = 16;
+        const std::int64_t blocks_per_seq =
+            (workload.finalSeqLen() + kBlock - 1) / kBlock;
+        kv::PagedKvCache cache = functional_->makePagedKvCache(
+            kBlock, workload.batch * blocks_per_seq);
+        // Phase-split generation (the greedy loop of generate()) so
         // measured hardware counters attribute to prefill vs decode —
         // the split every paper figure is built on. The scopes are
         // inert unless a pmu::Session is active.
         std::vector<std::vector<std::int64_t>> out(prompts.size());
-        std::vector<std::int64_t> last;
+        std::vector<model::TransformerModel::RaggedSlot> slots;
         {
             obs::pmu::CounterScope scope("prefill");
             threadreg::ScopedFrame frame("prefill");
-            last = functional_->prefill(prompts, cache);
+            slots = functional_->prefill(prompts, cache);
         }
         for (std::size_t b = 0; b < out.size(); ++b)
-            out[b].push_back(last[b]);
+            out[b].push_back(slots[b].token);
         {
             obs::pmu::CounterScope scope("decode");
             threadreg::ScopedFrame frame("decode");
             for (std::int64_t step = 1; step < workload.genLen;
                  ++step) {
-                last = functional_->decodeStep(last, cache);
-                for (std::size_t b = 0; b < out.size(); ++b)
-                    out[b].push_back(last[b]);
+                const std::vector<std::int64_t> next =
+                    functional_->decodeStepRagged(slots, cache);
+                CPULLM_ASSERT(next.size() == out.size(),
+                              "KV pool sized for the workload "
+                              "refused it");
+                for (std::size_t b = 0; b < out.size(); ++b) {
+                    slots[b].token = next[b];
+                    out[b].push_back(next[b]);
+                }
             }
         }
         result.generatedTokens = std::move(out);

@@ -281,45 +281,18 @@ attnStats()
 }
 
 void
-attnFused(const AttnShape& shape, std::int64_t m, std::int64_t pos0,
-          const AttnSeqView* seqs, std::size_t n_seqs)
-{
-    checkArgs(shape, m, pos0, seqs, n_seqs);
-    if (n_seqs == 0)
-        return;
-    const float scale =
-        1.0f / std::sqrt(static_cast<float>(shape.headDim));
-    const std::size_t grid =
-        n_seqs * static_cast<std::size_t>(shape.kvHeads);
-
-    (m == 1 ? decodeCalls_ : prefillCalls_)
-        .fetch_add(1, std::memory_order_relaxed);
-    tasks_.fetch_add(grid, std::memory_order_relaxed);
-    spanRows_.fetch_add(grid * static_cast<std::uint64_t>(pos0 + m),
-                        std::memory_order_relaxed);
-
-    parallelFor(
-        0, grid,
-        [&](std::size_t idx) {
-            const std::size_t b =
-                idx / static_cast<std::size_t>(shape.kvHeads);
-            const std::int64_t kvh = static_cast<std::int64_t>(
-                idx % static_cast<std::size_t>(shape.kvHeads));
-            fusedTask(shape, m, pos0, seqs[b], kvh, scale);
-        },
-        1);
-}
-
-void
 attnFusedRagged(const AttnShape& shape, const AttnRaggedSeq* seqs,
                 std::size_t n_seqs)
 {
     CPULLM_ASSERT(seqs != nullptr || n_seqs == 0,
-                  "null ragged sequence slots");
+                  "null attention slots");
     std::uint64_t rows = 0;
+    std::size_t decode_slots = 0;
     for (std::size_t s = 0; s < n_seqs; ++s) {
         checkArgs(shape, seqs[s].m, seqs[s].pos0, &seqs[s].view, 1);
         rows += static_cast<std::uint64_t>(seqs[s].pos0 + seqs[s].m);
+        if (seqs[s].m == 1)
+            ++decode_slots;
     }
     if (n_seqs == 0)
         return;
@@ -328,7 +301,12 @@ attnFusedRagged(const AttnShape& shape, const AttnRaggedSeq* seqs,
     const std::size_t grid =
         n_seqs * static_cast<std::size_t>(shape.kvHeads);
 
-    raggedCalls_.fetch_add(1, std::memory_order_relaxed);
+    // One bucket per call, by query shape (see AttnStats).
+    std::atomic<std::uint64_t>& calls =
+        decode_slots == n_seqs ? decodeCalls_
+        : decode_slots == 0    ? prefillCalls_
+                               : raggedCalls_;
+    calls.fetch_add(1, std::memory_order_relaxed);
     tasks_.fetch_add(grid, std::memory_order_relaxed);
     spanRows_.fetch_add(rows *
                             static_cast<std::uint64_t>(shape.kvHeads),

@@ -3,15 +3,16 @@
 
 /**
  * @file
- * Fused decode/prefill attention over contiguous KV-cache spans.
+ * Fused decode/prefill attention over KV-cache span chunks.
  *
  * This is the functional hot path the paper's decode analysis points
  * at (Figs 6/7): per generated token, attention streams every cached
  * K and V vector once — a bandwidth-bound sweep that the naive
  * implementation (per-position readK/readV copies, per-element dtype
  * conversion, one scalar dot per head per position, a two-pass
- * softmax) turns into a compute-bound crawl. attnFused replaces it
- * with a single-pass flash-style kernel:
+ * softmax) turns into a compute-bound crawl. attnFusedRagged, the one
+ * fused entry point, replaces it with a single-pass flash-style
+ * kernel over per-sequence slots, each at its own (pos0, m):
  *
  *  - K/V rows are read straight from KvSpan views in the storage
  *    dtype (BF16 widened once per row, FP32 streamed in place) —
@@ -26,22 +27,27 @@
  *    per-thread scratch owned by the kernel, so a decode step costs
  *    no heap allocation. Task boundaries align with output rows,
  *    making results invariant to the thread count.
- *  - Prefill batches query positions: with m > 1 queries at absolute
+ *  - A slot with m > 1 is a prefill span: with queries at absolute
  *    positions [pos0, pos0 + m), query row i attends causally over
- *    span rows [0, pos0 + i].
+ *    span rows [0, pos0 + i]. Decode is m == 1. Each slot's tasks run
+ *    the same sweep whatever the other slots hold, so a slot's output
+ *    is bitwise the same alone or in any batch.
  *
  * Inner dot/axpy loops run on the emulated AVX-512 unit (isa::Vec512
  * FMA lanes), the same dispatch conventions as the packed GEMM
  * kernels: activations in FP32, reductions in FP32 lane order.
  *
- * Numerics: attnRef reproduces the naive path's arithmetic order
- * exactly (scalar dots in position order, two-pass softmax), so it is
- * bit-identical to the pre-fused TransformerModel::attention loop.
- * attnFused changes only the reduction order (16-lane dots, online
- * rescaling); outputs match attnRef within kAttnTolerance for
+ * Numerics: attnRef reproduces the naive loop's arithmetic order
+ * exactly (scalar dots in position order, two-pass softmax).
+ * attnFusedRagged changes only the reduction order (16-lane dots,
+ * online rescaling); outputs match attnRef within kAttnTolerance for
  * O(1)-scaled inputs. Where the order is preserved — a span short
  * enough that the online max never updates after the first row and
  * head_dim <= one vector — the two are exact.
+ *
+ * AttnStats counts each fused call in exactly one bucket by its query
+ * shape: decodeCalls when every slot has m == 1, prefillCalls when
+ * every slot has m > 1, raggedCalls when a call mixes the two.
  */
 
 #include <cstdint>
@@ -52,10 +58,11 @@ namespace cpullm {
 namespace gemm {
 
 /**
- * Documented output tolerance of attnFused vs attnRef (max abs diff)
- * for inputs with O(1) per-element magnitude, e.g. LayerNorm/RMSNorm
- * activations. Both kernels accumulate in FP32; they differ only in
- * summation order, so the gap is a few ULPs amplified by exp().
+ * Documented output tolerance of attnFusedRagged vs attnRef (max abs
+ * diff) for inputs with O(1) per-element magnitude, e.g.
+ * LayerNorm/RMSNorm activations. Both kernels accumulate in FP32;
+ * they differ only in summation order, so the gap is a few ULPs
+ * amplified by exp().
  */
 inline constexpr float kAttnTolerance = 1e-3f;
 
@@ -83,10 +90,10 @@ struct AttnSeqView
 };
 
 /**
- * One sequence's slot in a ragged (continuous-batching) call: its
- * view plus a private query span. Sequences in one call may sit at
- * arbitrary, mutually unrelated positions — the fused decode step of
- * the continuous batcher passes one slot per in-flight sequence.
+ * One sequence's slot in a fused call: its view plus a private query
+ * span. Sequences in one call may sit at arbitrary, mutually
+ * unrelated positions — the continuous batcher's decode step passes
+ * one slot per in-flight sequence, a batched prefill one per prompt.
  */
 struct AttnRaggedSeq
 {
@@ -102,9 +109,9 @@ struct AttnRaggedSeq
  */
 struct AttnStats
 {
-    std::uint64_t decodeCalls = 0;  ///< attnFused calls with m == 1
-    std::uint64_t prefillCalls = 0; ///< attnFused calls with m > 1
-    std::uint64_t raggedCalls = 0;  ///< attnFusedRagged calls
+    std::uint64_t decodeCalls = 0;  ///< calls whose slots all have m == 1
+    std::uint64_t prefillCalls = 0; ///< calls whose slots all have m > 1
+    std::uint64_t raggedCalls = 0;  ///< calls mixing m == 1 and m > 1
     std::uint64_t tasks = 0;        ///< (sequence x kv-head) grid tasks
     std::uint64_t spanRows = 0;     ///< K/V rows streamed (per task)
     std::uint64_t scratchAllocs = 0; ///< per-thread scratch growths
@@ -114,31 +121,21 @@ struct AttnStats
 AttnStats attnStats();
 
 /**
- * Fused attention for @p n_seqs sequences: for each sequence, each
- * query row i in [0, m) attends over cached rows [0, pos0 + i] with
- * softmax(q k / sqrt(headDim)) v per head. Decode is m == 1.
- * Parallel over (sequence x kv-head); thread-count invariant.
- */
-void attnFused(const AttnShape& shape, std::int64_t m,
-               std::int64_t pos0, const AttnSeqView* seqs,
-               std::size_t n_seqs);
-
-/**
- * Ragged fused attention: like attnFused, but each sequence carries
- * its own (pos0, m) — the shape of one continuous-batching iteration,
- * where in-flight sequences sit at heterogeneous positions. Each
- * (sequence x kv-head) task runs the identical fused sweep as the
- * uniform entry point, so outputs are bitwise equal to calling
- * attnFused once per sequence, at any thread count.
+ * Fused attention for @p n_seqs slots: for each slot, each query row
+ * i in [0, m) attends over cached rows [0, pos0 + i] with
+ * softmax(q k / sqrt(headDim)) v per head. Parallel over
+ * (sequence x kv-head); thread-count invariant, and each slot's
+ * output is bitwise independent of the other slots in the call.
  */
 void attnFusedRagged(const AttnShape& shape, const AttnRaggedSeq* seqs,
                      std::size_t n_seqs);
 
 /**
- * Reference implementation over the same views: single-threaded
- * scalar loops in the naive path's exact arithmetic order (scores in
- * position order, two-pass softmax, weighted V sum). Ground truth
- * for tests and the host benchmark.
+ * Reference implementation over uniform views (every sequence at the
+ * same @p pos0 and @p m): single-threaded scalar loops in the naive
+ * loop's exact arithmetic order (scores in position order, two-pass
+ * softmax, weighted V sum). Ground truth for tests and the host
+ * benchmark.
  */
 void attnRef(const AttnShape& shape, std::int64_t m, std::int64_t pos0,
              const AttnSeqView* seqs, std::size_t n_seqs);

@@ -835,7 +835,7 @@ gemvI4gFused(const float* a, const PackedWeightsI4G& b, float* c)
     // column rows linearly (grain 4 = 64 columns amortizes pool
     // dispatch). Task boundaries stay the same 16-column chunks, so
     // the output is bitwise identical to gemmAvx512I4gPacked(m=1)
-    // for any thread count (the attnFused contract).
+    // for any thread count (the fused-attention contract).
     parallelFor(0, static_cast<std::size_t>(n_chunks),
                 [&](std::size_t cb) {
         const std::int64_t j0 =

@@ -352,7 +352,7 @@ void gemmAvx512Bf16Packed(const BFloat16* a, const PackedWeightsVnni& b,
  * broadcast per group, 16 codes widened per step). Partitioned over
  * N in fixed 16-column tasks — every output element is computed
  * whole inside one task, so results are bitwise identical for any
- * thread count or backend (the attnFused contract).
+ * thread count or backend (the fused-attention contract).
  */
 void gemmAvx512I8gPacked(const float* a, const PackedWeightsI8G& b,
                          float* c, std::int64_t m);

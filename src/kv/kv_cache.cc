@@ -1,7 +1,5 @@
 #include "kv/kv_cache.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 
 namespace cpullm {
@@ -14,7 +12,6 @@ KvCache::KvCache(std::int64_t layers, std::int64_t batch, std::int64_t d_kv,
 {
     CPULLM_ASSERT(layers > 0 && batch > 0 && d_kv > 0 && max_seq > 0,
                   "invalid KvCache geometry");
-    seq_lens_.assign(static_cast<std::size_t>(batch), 0);
     k_.reserve(static_cast<size_t>(layers));
     v_.reserve(static_cast<size_t>(layers));
     for (std::int64_t l = 0; l < layers; ++l) {
@@ -46,36 +43,11 @@ KvCache::write(std::int64_t layer, std::int64_t b, std::int64_t pos,
     }
 }
 
-std::int64_t
-KvCache::seqLen() const
-{
-    std::int64_t longest = 0;
-    for (const std::int64_t len : seq_lens_)
-        longest = std::max(longest, len);
-    return longest;
-}
-
-std::int64_t
-KvCache::seqLen(std::int64_t b) const
-{
-    CPULLM_ASSERT(b >= 0 && b < batch_, "batch index out of range");
-    return seq_lens_[static_cast<std::size_t>(b)];
-}
-
 void
 KvCache::setSeqLen(std::int64_t n)
 {
     CPULLM_ASSERT(n >= 0 && n <= max_seq_, "bad seq len ", n);
-    for (auto& len : seq_lens_)
-        len = n;
-}
-
-void
-KvCache::setSeqLen(std::int64_t b, std::int64_t n)
-{
-    CPULLM_ASSERT(b >= 0 && b < batch_, "batch index out of range");
-    CPULLM_ASSERT(n >= 0 && n <= max_seq_, "bad seq len ", n);
-    seq_lens_[static_cast<std::size_t>(b)] = n;
+    seq_len_ = n;
 }
 
 void
@@ -104,7 +76,7 @@ KvSpan
 KvCache::span(const Tensor& t, std::int64_t b, std::int64_t len) const
 {
     if (len < 0)
-        len = seq_lens_[static_cast<std::size_t>(b)];
+        len = seq_len_;
     CPULLM_ASSERT(len >= 0 && len <= max_seq_,
                   "span length ", len, " out of capacity ", max_seq_);
     const std::int64_t base = offset(b, 0);
@@ -146,10 +118,9 @@ KvCache::capacityBytes() const
 std::uint64_t
 KvCache::usedBytes() const
 {
-    std::uint64_t tokens = 0;
-    for (const std::int64_t len : seq_lens_)
-        tokens += static_cast<std::uint64_t>(len);
-    return 2ULL * static_cast<std::uint64_t>(layers_) * tokens *
+    return 2ULL * static_cast<std::uint64_t>(layers_) *
+           static_cast<std::uint64_t>(batch_) *
+           static_cast<std::uint64_t>(seq_len_) *
            static_cast<std::uint64_t>(d_kv_) * dtypeSize(dtype_);
 }
 

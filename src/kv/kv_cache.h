@@ -3,10 +3,12 @@
 
 /**
  * @file
- * The KV cache: stored key/value vectors of already-processed tokens,
- * the de-facto decode-phase optimization whose footprint growth
- * (linear in sequence length and batch size) drives the paper's
- * memory-capacity argument (Fig 7).
+ * A contiguous, lockstep KV store: per layer, one [batch, max_seq]
+ * reservation in which every sequence holds the same number of
+ * tokens. It backs the host attention micro-benchmark and the Fig 7
+ * write benchmark; it is not the model's cache, which is the paged
+ * pool in kv/paged_kv_cache.h. Its footprint (linear in sequence
+ * length and batch size) is the memory-capacity argument of Fig 7.
  */
 
 #include <cstdint>
@@ -19,9 +21,9 @@ namespace cpullm {
 namespace kv {
 
 /**
- * Functional KV cache for a whole model: per layer, K and V tensors of
- * shape [batch, max_seq, numKvHeads * headDim]. Values are stored in
- * the cache dtype (BF16 in the paper's setup) and read back as FP32.
+ * Lockstep KV store: per layer, K and V tensors of shape [batch,
+ * max_seq, numKvHeads * headDim]. Values are stored in the cache
+ * dtype (BF16 in the paper's setup) and read back as FP32.
  */
 class KvCache
 {
@@ -43,16 +45,8 @@ class KvCache
     std::int64_t maxSeq() const { return max_seq_; }
     DType dtype() const { return dtype_; }
 
-    /**
-     * Tokens currently cached across the batch: the maximum of the
-     * per-sequence lengths. In the lockstep decode path every
-     * sequence advances together so this is also each sequence's
-     * length; ragged callers must use seqLen(b).
-     */
-    std::int64_t seqLen() const;
-
-    /** Tokens currently cached for sequence @p b. */
-    std::int64_t seqLen(std::int64_t b) const;
+    /** Tokens currently cached, the same for every sequence. */
+    std::int64_t seqLen() const { return seq_len_; }
 
     /**
      * Store the K and V vectors (d_kv floats each) of token @p pos of
@@ -61,11 +55,8 @@ class KvCache
     void write(std::int64_t layer, std::int64_t b, std::int64_t pos,
                const float* k, const float* v);
 
-    /** Mark @p n tokens as valid on every sequence (lockstep step). */
+    /** Mark @p n tokens as valid on every sequence. */
     void setSeqLen(std::int64_t n);
-
-    /** Mark @p n tokens of sequence @p b as valid (ragged step). */
-    void setSeqLen(std::int64_t b, std::int64_t n);
 
     /** Read one cached K vector into @p out (d_kv floats). */
     void readK(std::int64_t layer, std::int64_t b, std::int64_t pos,
@@ -101,11 +92,7 @@ class KvCache
     std::uint64_t usedBytes() const;
 
     /** Drop all cached tokens (new request), keeping the allocation. */
-    void reset()
-    {
-        for (auto& len : seq_lens_)
-            len = 0;
-    }
+    void reset() { seq_len_ = 0; }
 
   private:
     std::int64_t offset(std::int64_t b, std::int64_t pos) const;
@@ -118,7 +105,7 @@ class KvCache
     std::int64_t d_kv_;
     std::int64_t max_seq_;
     DType dtype_;
-    std::vector<std::int64_t> seq_lens_; ///< valid tokens per sequence
+    std::int64_t seq_len_ = 0; ///< valid tokens of every sequence
     std::vector<Tensor> k_; ///< one [batch, max_seq, d_kv] per layer
     std::vector<Tensor> v_;
 };

@@ -28,13 +28,6 @@ addBias(Tensor y, const Tensor* bias)
 } // namespace
 
 Tensor
-linear(gemm::Engine engine, const Tensor& x, const Tensor& w,
-       const Tensor* bias)
-{
-    return addBias(gemm::matmul(engine, x, w), bias);
-}
-
-Tensor
 linear(gemm::Engine engine, const Tensor& x, const gemm::PreparedB& w,
        const Tensor* bias)
 {

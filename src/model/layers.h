@@ -21,16 +21,10 @@ namespace cpullm {
 namespace model {
 
 /**
- * y = x * w (+ bias). x: [tokens, d_in], w: [d_in, d_out] row-major,
- * bias: [d_out] or nullptr. Returns FP32 [tokens, d_out].
- */
-Tensor linear(gemm::Engine engine, const Tensor& x, const Tensor& w,
-              const Tensor* bias);
-
-/**
- * Same projection over a weight prepared once with gemm::PreparedB —
- * the hot path: no per-call dtype conversion or tile packing.
- * Numerically identical to the Tensor overload.
+ * y = x * w (+ bias) over a weight prepared once with
+ * gemm::PreparedB, so no call converts or tile-packs it. x:
+ * [tokens, d_in], w: [d_in, d_out], bias: [d_out] or nullptr.
+ * Returns FP32 [tokens, d_out].
  */
 Tensor linear(gemm::Engine engine, const Tensor& x,
               const gemm::PreparedB& w, const Tensor* bias);

@@ -139,31 +139,12 @@ TransformerModel::layerQuantErrors() const
     return errs;
 }
 
-kv::KvCache
-TransformerModel::makeKvCache(std::int64_t batch,
-                              std::int64_t max_seq) const
-{
-    return kv::KvCache(spec_.numLayers, batch, spec_.dKv(), max_seq,
-                       DType::BF16);
-}
-
 kv::PagedKvCache
 TransformerModel::makePagedKvCache(std::int64_t block_size,
                                    std::int64_t num_blocks) const
 {
     return kv::PagedKvCache(spec_.numLayers, spec_.dKv(), block_size,
                             num_blocks, DType::BF16);
-}
-
-Tensor
-TransformerModel::embed(const std::vector<std::int64_t>& tokens,
-                        std::int64_t pos0, std::int64_t m) const
-{
-    const auto rows = static_cast<std::int64_t>(tokens.size());
-    std::vector<std::int64_t> positions(static_cast<size_t>(rows));
-    for (std::int64_t r = 0; r < rows; ++r)
-        positions[static_cast<size_t>(r)] = pos0 + r % m;
-    return embedRows(tokens, positions);
 }
 
 Tensor
@@ -192,84 +173,6 @@ TransformerModel::embedRows(
         }
     }
     return x;
-}
-
-Tensor
-TransformerModel::attention(std::int64_t layer, const Tensor& x,
-                            std::int64_t pos0, std::int64_t m,
-                            kv::KvCache& cache)
-{
-    const LayerWeights& w = layers_[static_cast<size_t>(layer)];
-    const PreparedLayerWeights& pw =
-        prepared_[static_cast<size_t>(layer)];
-    const std::int64_t rows = x.dim(0);
-    const std::int64_t batch = rows / m;
-    const std::int64_t d = spec_.dModel;
-    const std::int64_t heads = spec_.numHeads;
-    const std::int64_t hd = spec_.headDim();
-    const std::int64_t kv_heads = spec_.numKvHeads;
-
-    Tensor q = [&] {
-        threadreg::ScopedFrame frame("q_proj");
-        return linear(engine_, x, pw.wq,
-                      spec_.linearBias ? &w.bq : nullptr);
-    }();
-    Tensor k = [&] {
-        threadreg::ScopedFrame frame("k_proj");
-        return linear(engine_, x, pw.wk,
-                      spec_.linearBias ? &w.bk : nullptr);
-    }();
-    Tensor v = [&] {
-        threadreg::ScopedFrame frame("v_proj");
-        return linear(engine_, x, pw.wv,
-                      spec_.linearBias ? &w.bv : nullptr);
-    }();
-
-    Tensor ctx({rows, d}, DType::F32);
-    {
-        threadreg::ScopedFrame frame("attention");
-        float* qp = q.data<float>();
-        float* kp = k.data<float>();
-        const float* vp = v.data<float>();
-
-        for (std::int64_t b = 0; b < batch; ++b) {
-            for (std::int64_t i = 0; i < m; ++i) {
-                const std::int64_t r = b * m + i;
-                if (spec_.posEmbedding == PosEmbedding::Rotary) {
-                    rope_.apply(qp + r * d, heads, pos0 + i);
-                    rope_.apply(kp + r * spec_.dKv(), kv_heads,
-                                pos0 + i);
-                }
-                cache.write(layer, b, pos0 + i, kp + r * spec_.dKv(),
-                            vp + r * spec_.dKv());
-            }
-        }
-
-        // Attend over the cached span through contiguous views;
-        // seqLen is published by the caller after all layers, so pass
-        // the explicit span length pos0 + m.
-        float* cp = ctx.data<float>();
-        std::vector<kv::KvSpan> kspans(static_cast<size_t>(batch));
-        std::vector<kv::KvSpan> vspans(static_cast<size_t>(batch));
-        std::vector<gemm::AttnSeqView> seqs(
-            static_cast<size_t>(batch));
-        for (std::int64_t b = 0; b < batch; ++b) {
-            const auto sb = static_cast<size_t>(b);
-            kspans[sb] = cache.kSpan(layer, b, pos0 + m);
-            vspans[sb] = cache.vSpan(layer, b, pos0 + m);
-            seqs[sb].q = qp + b * m * d;
-            seqs[sb].out = cp + b * m * d;
-            seqs[sb].k = &kspans[sb];
-            seqs[sb].v = &vspans[sb];
-            seqs[sb].chunks = 1;
-        }
-        gemm::attnFused({heads, kv_heads, hd}, m, pos0, seqs.data(),
-                        static_cast<size_t>(batch));
-    }
-
-    threadreg::ScopedFrame frame("out_proj");
-    return linear(engine_, ctx, pw.wo,
-                  spec_.linearBias ? &w.bo : nullptr);
 }
 
 Tensor
@@ -390,91 +293,6 @@ TransformerModel::ffn(std::int64_t layer, const Tensor& x)
 }
 
 Tensor
-TransformerModel::forwardSpan(const std::vector<std::int64_t>& tokens,
-                              std::int64_t pos0, std::int64_t m,
-                              kv::KvCache& cache)
-{
-    CPULLM_ASSERT(m >= 1, "forwardSpan needs m >= 1");
-    CPULLM_ASSERT(static_cast<std::int64_t>(tokens.size()) ==
-                      cache.batch() * m,
-                  "token count mismatches cache batch x span");
-    CPULLM_ASSERT(pos0 + m <= cache.maxSeq(), "span [", pos0, ", ",
-                  pos0 + m, ") beyond cache capacity");
-    const std::int64_t batch = cache.batch();
-    Tensor x = [&] {
-        threadreg::ScopedFrame frame("embedding");
-        return embed(tokens, pos0, m);
-    }();
-
-    for (std::int64_t l = 0; l < spec_.numLayers; ++l) {
-        const LayerWeights& w = layers_[static_cast<size_t>(l)];
-        // Pre-norm residual block: x += Attn(Norm(x)).
-        Tensor normed = [&] {
-            threadreg::ScopedFrame frame("attn_norm");
-            Tensor n = x.cast(DType::F32);
-            if (spec_.norm == NormKind::LayerNorm)
-                layerNormInPlace(n, w.attnNormW, w.attnNormB);
-            else
-                rmsNormInPlace(n, w.attnNormW);
-            return n;
-        }();
-        Tensor attn = attention(l, normed, pos0, m, cache);
-        float* xp = x.data<float>();
-        const float* ap = attn.data<float>();
-        for (std::int64_t i = 0; i < x.size(); ++i)
-            xp[i] += ap[i];
-
-        Tensor normed2 = [&] {
-            threadreg::ScopedFrame frame("ffn_norm");
-            Tensor n = x.cast(DType::F32);
-            if (spec_.norm == NormKind::LayerNorm)
-                layerNormInPlace(n, w.ffnNormW, w.ffnNormB);
-            else
-                rmsNormInPlace(n, w.ffnNormW);
-            return n;
-        }();
-        Tensor f = ffn(l, normed2);
-        const float* fp = f.data<float>();
-        for (std::int64_t i = 0; i < x.size(); ++i)
-            xp[i] += fp[i];
-    }
-
-    cache.setSeqLen(pos0 + m);
-
-    // Only the last position's logits are ever consumed (greedy
-    // sampling), so run the final norm and the vocab-wide head GEMM
-    // over one row per sequence instead of the whole span.
-    Tensor last({batch, spec_.dModel}, DType::F32);
-    float* lp = last.data<float>();
-    const float* xp = x.data<float>();
-    for (std::int64_t b = 0; b < batch; ++b) {
-        const float* row = xp + (b * m + m - 1) * spec_.dModel;
-        for (std::int64_t c = 0; c < spec_.dModel; ++c)
-            lp[b * spec_.dModel + c] = row[c];
-    }
-    {
-        threadreg::ScopedFrame frame("final_norm");
-        if (spec_.norm == NormKind::LayerNorm)
-            layerNormInPlace(last, finalNormW_, finalNormB_);
-        else
-            rmsNormInPlace(last, finalNormW_);
-    }
-
-    // Output head (tied-embedding transpose or lmHead), prepared once
-    // in the constructor.
-    threadreg::ScopedFrame frame("lm_head");
-    return linear(engine_, last, preparedHead_, nullptr);
-}
-
-Tensor
-TransformerModel::forwardTokens(const std::vector<std::int64_t>& tokens,
-                                std::int64_t position,
-                                kv::KvCache& cache)
-{
-    return forwardSpan(tokens, position, 1, cache);
-}
-
-Tensor
 TransformerModel::forwardRagged(
     const std::vector<std::int64_t>& tokens,
     const std::vector<RaggedSeqSpan>& spans, kv::PagedKvCache& cache)
@@ -487,6 +305,10 @@ TransformerModel::forwardRagged(
                       "span pos0 ", sp.pos0,
                       " is not the sequence length ",
                       cache.seqLen(sp.seq));
+        CPULLM_ASSERT(sp.pos0 + sp.m <= spec_.maxSeqLen, "span [",
+                      sp.pos0, ", ", sp.pos0 + sp.m,
+                      ") reaches past max sequence length ",
+                      spec_.maxSeqLen);
         rows += sp.m;
     }
     CPULLM_ASSERT(static_cast<std::int64_t>(tokens.size()) == rows,
@@ -572,6 +394,31 @@ TransformerModel::forwardRagged(
     return linear(engine_, last, preparedHead_, nullptr);
 }
 
+std::vector<TransformerModel::RaggedSlot>
+TransformerModel::prefill(
+    const std::vector<std::vector<std::int64_t>>& prompts,
+    kv::PagedKvCache& cache)
+{
+    CPULLM_ASSERT(!prompts.empty(), "empty prompt batch");
+    std::vector<std::int64_t> tokens;
+    std::vector<RaggedSeqSpan> spans;
+    spans.reserve(prompts.size());
+    for (const auto& p : prompts) {
+        CPULLM_ASSERT(!p.empty(), "empty prompt");
+        tokens.insert(tokens.end(), p.begin(), p.end());
+        spans.push_back({cache.addSequence(), 0,
+                         static_cast<std::int64_t>(p.size())});
+    }
+    const Tensor logits = forwardRagged(tokens, spans, cache);
+    CPULLM_ASSERT(!logits.empty(), "paged pool cannot hold the prompts");
+    std::vector<RaggedSlot> slots;
+    slots.reserve(spans.size());
+    for (std::size_t s = 0; s < spans.size(); ++s)
+        slots.push_back({spans[s].seq,
+                         argmaxRow(logits, static_cast<std::int64_t>(s))});
+    return slots;
+}
+
 std::int64_t
 TransformerModel::prefillPaged(const std::vector<std::int64_t>& prompt,
                                std::int64_t seq,
@@ -614,57 +461,25 @@ TransformerModel::decodeStepRagged(const std::vector<RaggedSlot>& slots,
     return next;
 }
 
-std::vector<std::int64_t>
-TransformerModel::prefill(
-    const std::vector<std::vector<std::int64_t>>& prompts,
-    kv::KvCache& cache)
-{
-    CPULLM_ASSERT(!prompts.empty(), "empty prompt batch");
-    const std::size_t plen = prompts[0].size();
-    for (const auto& p : prompts) {
-        CPULLM_ASSERT(p.size() == plen,
-                      "all prompts must have equal length");
-    }
-    // One batched forward pass over all prompt positions: the fused
-    // kernel attends causally within the span, so this matches the
-    // old position-at-a-time loop token for token.
-    std::vector<std::int64_t> flat;
-    flat.reserve(prompts.size() * plen);
-    for (const auto& p : prompts)
-        flat.insert(flat.end(), p.begin(), p.end());
-    Tensor logits = forwardSpan(flat, 0,
-                                static_cast<std::int64_t>(plen), cache);
-    std::vector<std::int64_t> next(prompts.size());
-    for (std::size_t b = 0; b < prompts.size(); ++b)
-        next[b] = argmaxRow(logits, static_cast<std::int64_t>(b));
-    return next;
-}
-
-std::vector<std::int64_t>
-TransformerModel::decodeStep(const std::vector<std::int64_t>& last_tokens,
-                             kv::KvCache& cache)
-{
-    Tensor logits = forwardTokens(last_tokens, cache.seqLen(), cache);
-    std::vector<std::int64_t> next(last_tokens.size());
-    for (std::size_t b = 0; b < last_tokens.size(); ++b)
-        next[b] = argmaxRow(logits, static_cast<std::int64_t>(b));
-    return next;
-}
-
 std::vector<std::vector<std::int64_t>>
 TransformerModel::generate(
     const std::vector<std::vector<std::int64_t>>& prompts,
-    std::int64_t gen_len, kv::KvCache& cache)
+    std::int64_t gen_len, kv::PagedKvCache& cache)
 {
     CPULLM_ASSERT(gen_len >= 1, "gen_len must be >= 1");
-    std::vector<std::vector<std::int64_t>> out(prompts.size());
-    std::vector<std::int64_t> last = prefill(prompts, cache);
-    for (std::size_t b = 0; b < prompts.size(); ++b)
-        out[b].push_back(last[b]);
+    std::vector<RaggedSlot> slots = prefill(prompts, cache);
+    std::vector<std::vector<std::int64_t>> out(slots.size());
+    for (std::size_t b = 0; b < slots.size(); ++b)
+        out[b].push_back(slots[b].token);
     for (std::int64_t step = 1; step < gen_len; ++step) {
-        last = decodeStep(last, cache);
-        for (std::size_t b = 0; b < prompts.size(); ++b)
-            out[b].push_back(last[b]);
+        const std::vector<std::int64_t> next =
+            decodeStepRagged(slots, cache);
+        CPULLM_ASSERT(!next.empty(),
+                      "paged pool cannot hold the generated tokens");
+        for (std::size_t b = 0; b < slots.size(); ++b) {
+            slots[b].token = next[b];
+            out[b].push_back(next[b]);
+        }
     }
     return out;
 }

@@ -7,6 +7,12 @@
  * passes (through the emulated matrix engines) for specs small enough
  * to hold weights in memory; the timing-only path in src/engine uses
  * the same operator structure with shapes alone.
+ *
+ * There is one forward pass, forwardRagged, over a paged KV cache
+ * (kv::PagedKvCache): any number of sequences, each with its own
+ * query span at its own position. Prefill, decode, greedy generation
+ * and the continuous batcher's fused step are all calls to it, so a
+ * sequence's tokens are bitwise the same alone or batched.
  */
 
 #include <cstdint>
@@ -14,7 +20,6 @@
 
 #include "gemm/gemm.h"
 #include "gemm/packed_weights.h"
-#include "kv/kv_cache.h"
 #include "kv/paged_kv_cache.h"
 #include "model/layers.h"
 #include "model/spec.h"
@@ -88,73 +93,14 @@ class TransformerModel
      */
     std::vector<LayerQuantError> layerQuantErrors() const;
 
-    /** Allocate a KV cache sized for @p batch x @p max_seq. */
-    kv::KvCache makeKvCache(std::int64_t batch,
-                            std::int64_t max_seq) const;
-
-    /**
-     * Prefill: run all prompt tokens through the model, filling the
-     * cache, and return the first generated token (greedy) for each
-     * sequence. All prompts must have equal length (the paper's
-     * workloads do).
-     */
-    std::vector<std::int64_t>
-    prefill(const std::vector<std::vector<std::int64_t>>& prompts,
-            kv::KvCache& cache);
-
-    /**
-     * One decode step: feed the last generated token of each sequence,
-     * append to the cache, and return the next greedy tokens.
-     */
-    std::vector<std::int64_t>
-    decodeStep(const std::vector<std::int64_t>& last_tokens,
-               kv::KvCache& cache);
-
-    /**
-     * Full greedy generation: prefill then @p gen_len - 1 decode
-     * steps; returns [batch][gen_len] generated tokens.
-     */
-    std::vector<std::vector<std::int64_t>>
-    generate(const std::vector<std::vector<std::int64_t>>& prompts,
-             std::int64_t gen_len, kv::KvCache& cache);
-
-    /**
-     * Logits for the tokens at one position (all sequences), also
-     * appending K/V to the cache. Exposed for tests.
-     * @param tokens    one token id per sequence
-     * @param position  absolute position of these tokens
-     * @return [batch, vocab] FP32 logits
-     */
-    Tensor forwardTokens(const std::vector<std::int64_t>& tokens,
-                         std::int64_t position, kv::KvCache& cache);
-
-    /**
-     * Run @p m tokens per sequence at absolute positions
-     * [pos0, pos0 + m) through the model in one pass (batched
-     * prefill; m == 1 is a decode step), appending K/V to the cache
-     * and advancing seqLen to pos0 + m. Attention is causal within
-     * the span via the fused kernel. Numerically equivalent to m
-     * stepwise forwardTokens calls: every per-row operator (GEMM
-     * rows, norms, RoPE, per-query attention sweep) sees the same
-     * inputs in the same order either way.
-     * @param tokens  batch x m ids, sequence-major: tokens[b * m + i]
-     *                is sequence b's token at position pos0 + i
-     * @return [batch, vocab] FP32 logits of the last position only
-     */
-    Tensor forwardSpan(const std::vector<std::int64_t>& tokens,
-                       std::int64_t pos0, std::int64_t m,
-                       kv::KvCache& cache);
-
-    /** @name Ragged (continuous-batching) paged-cache path */
-    /// @{
-    /** One in-flight sequence's slot in a ragged decode step. */
+    /** One in-flight sequence's slot in a decode step. */
     struct RaggedSlot
     {
         std::int64_t seq = 0;   ///< paged-cache sequence id
         std::int64_t token = 0; ///< last generated token to feed
     };
 
-    /** One sequence's query span inside a ragged forward pass. */
+    /** One sequence's query span inside a forward pass. */
     struct RaggedSeqSpan
     {
         std::int64_t seq = 0;  ///< paged-cache sequence id
@@ -167,19 +113,22 @@ class TransformerModel
                                       std::int64_t num_blocks) const;
 
     /**
-     * One forward pass over heterogeneous per-sequence query spans —
-     * the continuous-batching iteration. All spans' rows fuse into
-     * single m = sum(m_s) GEMM passes per projection while attention
-     * runs per sequence at its own (pos0, m) over paged span chunks.
-     * K/V slots are reserved up front, written layer by layer, and
-     * committed at the end (reserve/writeToken/commit protocol), so
-     * on success every span's seqLen advances by its m.
+     * The forward pass, over heterogeneous per-sequence query spans.
+     * All spans' rows fuse into single m = sum(m_s) GEMM passes per
+     * projection while attention runs per sequence at its own
+     * (pos0, m) over paged span chunks. K/V slots are reserved up
+     * front, written layer by layer, and committed at the end
+     * (reserve/writeToken/commit protocol), so on success every
+     * span's seqLen advances by its m.
      *
-     * Row-wise numerics match the contiguous path bit for bit: every
-     * per-row operator (embedding, norms, RoPE, GEMM rows, the fused
-     * attention sweep) sees the same inputs in the same order as a
-     * per-sequence forwardSpan call, so logits are bitwise identical
-     * to running each sequence alone.
+     * Every per-row operator (embedding, norms, RoPE, GEMM rows, the
+     * fused attention sweep) sees the same inputs in the same order
+     * whichever other spans share the pass, so logits are bitwise
+     * identical to running each sequence alone, and a prefill span
+     * matches stepping its rows one pass at a time.
+     *
+     * Panics, before touching the cache, if a span reaches past
+     * spec().maxSeqLen (the position tables end there).
      *
      * @param tokens span-major ids: spans[s]'s rows are consecutive,
      *               tokens[base_s + i] at position spans[s].pos0 + i
@@ -191,6 +140,17 @@ class TransformerModel
     Tensor forwardRagged(const std::vector<std::int64_t>& tokens,
                          const std::vector<RaggedSeqSpan>& spans,
                          kv::PagedKvCache& cache);
+
+    /**
+     * Prefill @p prompts, which may differ in length, in one forward
+     * pass: each gets a new sequence in @p cache and one span. Panics
+     * if the pool cannot hold the prompts.
+     * @return one slot per prompt: its sequence id and first greedy
+     *         token
+     */
+    std::vector<RaggedSlot>
+    prefill(const std::vector<std::vector<std::int64_t>>& prompts,
+            kv::PagedKvCache& cache);
 
     /**
      * Prefill one sequence's prompt into the paged cache; positions
@@ -213,28 +173,30 @@ class TransformerModel
     std::vector<std::int64_t>
     decodeStepRagged(const std::vector<RaggedSlot>& slots,
                      kv::PagedKvCache& cache);
-    /// @}
+
+    /**
+     * Full greedy generation: prefill, then @p gen_len - 1 fused
+     * decode steps, over new sequences in @p cache; returns
+     * [prompts][gen_len] generated tokens. Panics if the pool cannot
+     * hold the whole run.
+     */
+    std::vector<std::vector<std::int64_t>>
+    generate(const std::vector<std::vector<std::int64_t>>& prompts,
+             std::int64_t gen_len, kv::PagedKvCache& cache);
 
   private:
-    Tensor embed(const std::vector<std::int64_t>& tokens,
-                 std::int64_t pos0, std::int64_t m) const;
-
     /** Embedding lookup with an explicit position per row. */
     Tensor embedRows(const std::vector<std::int64_t>& tokens,
                      const std::vector<std::int64_t>& positions) const;
 
-    /** The ragged analogue of attention(): per-span (pos0, m). */
+    /**
+     * Attention sublayer over @p x (span-major rows): projections,
+     * RoPE, K/V writes into the reserved slots, fused attention per
+     * span at its own (pos0, m), and the output projection.
+     */
     Tensor attentionRagged(std::int64_t layer, const Tensor& x,
                            const std::vector<RaggedSeqSpan>& spans,
                            kv::PagedKvCache& cache);
-
-    /**
-     * Fused attention over the cached span for @p m query positions
-     * per sequence. @p x holds batch x m rows, sequence-major.
-     */
-    Tensor attention(std::int64_t layer, const Tensor& x,
-                     std::int64_t pos0, std::int64_t m,
-                     kv::KvCache& cache);
 
     Tensor ffn(std::int64_t layer, const Tensor& x);
 
@@ -248,8 +210,8 @@ class TransformerModel
     std::vector<LayerWeights> layers_;
     std::vector<PreparedLayerWeights> prepared_;
     /** The output head prepared for the engine: lmHead_, or for tied
-     *  embeddings the [d, vocab] transpose of tokenEmbedding_ that
-     *  forwardTokens previously rebuilt on every call. */
+     *  embeddings the [d, vocab] transpose of tokenEmbedding_, built
+     *  once instead of on every forward call. */
     gemm::PreparedB preparedHead_;
     /** Precomputed RoPE factors (valid only for Rotary specs). */
     RopeTable rope_;

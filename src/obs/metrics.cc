@@ -203,9 +203,11 @@ recordHostAttnStats(stats::Registry& reg)
                       std::uint64_t v) {
         reg.scalar(name, desc).set(static_cast<double>(v));
     };
-    set("host.attn.decode_calls", "fused attention calls with m == 1",
+    set("host.attn.decode_calls",
+        "fused attention calls whose slots all have m == 1",
         s.decodeCalls);
-    set("host.attn.prefill_calls", "fused attention calls with m > 1",
+    set("host.attn.prefill_calls",
+        "fused attention calls whose slots all have m > 1",
         s.prefillCalls);
     set("host.attn.tasks", "(sequence x kv-head) attention grid tasks",
         s.tasks);

@@ -125,16 +125,22 @@ HttpServer::start(int port, int threads)
 void
 HttpServer::stop()
 {
-    if (!running_.exchange(false)) {
-        return;
+    {
+        // Clear the flag under the queue lock: a worker that has just
+        // found its wait predicate false must be waiting before the
+        // notify below, or the wakeup is lost and join() hangs.
+        std::lock_guard<std::mutex> lock(queueMu_);
+        if (!running_.exchange(false))
+            return;
     }
-    // Unblock the accept loop, then the workers.
+    // Unblock the accept loop, then the workers. The accept loop
+    // reads listenFd_, so close it only once that thread is joined.
     ::shutdown(listenFd_, SHUT_RDWR);
-    ::close(listenFd_);
-    listenFd_ = -1;
     queueCv_.notify_all();
     if (acceptThread_.joinable())
         acceptThread_.join();
+    ::close(listenFd_);
+    listenFd_ = -1;
     for (auto& w : workers_) {
         if (w.joinable())
             w.join();

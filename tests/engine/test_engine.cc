@@ -100,7 +100,7 @@ TEST(Engine, FunctionalOutputsMatchStandaloneTransformer)
     const auto r = eng.infer(w);
 
     model::TransformerModel m(spec, gemm::Engine::AmxBf16, 11);
-    kv::KvCache cache = m.makeKvCache(1, w.finalSeqLen());
+    kv::PagedKvCache cache = m.makePagedKvCache(8, 2);
     const auto prompts =
         syntheticPrompts(spec.vocabSize, 1, w.promptLen, 12);
     const auto want = m.generate(prompts, w.genLen, cache);

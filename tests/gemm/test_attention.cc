@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,16 @@ struct Problem
         return s;
     }
 };
+
+/** One fused call with one slot per problem (all of one shape). */
+void
+runFused(const std::vector<Problem*>& ps)
+{
+    std::vector<AttnRaggedSeq> slots;
+    for (Problem* p : ps)
+        slots.push_back({p->view(), p->pos0, p->m});
+    attnFusedRagged(ps.front()->shape, slots.data(), slots.size());
+}
 
 /** O(1)-scaled inputs, the regime kAttnTolerance is documented for. */
 Problem
@@ -113,6 +124,15 @@ struct Case
     DType dtype;
 };
 
+// ctest names each Shapes case after the printed parameter; print the
+// case name, not gtest's byte dump (an ASLR-moved pointer and
+// uninitialized padding).
+void
+PrintTo(const Case& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
 class FusedAttention : public ::testing::TestWithParam<Case>
 {
 };
@@ -122,9 +142,8 @@ expectMatchesReference(const Case& c)
 {
     Problem fused = makeProblem(c.shape, c.m, c.pos0, c.dtype);
     Problem ref = makeProblem(c.shape, c.m, c.pos0, c.dtype);
-    AttnSeqView fv = fused.view();
     AttnSeqView rv = ref.view();
-    attnFused(c.shape, c.m, c.pos0, &fv, 1);
+    runFused({&fused});
     attnRef(c.shape, c.m, c.pos0, &rv, 1);
     EXPECT_LE(maxAbsDiff(fused.out, ref.out), kAttnTolerance);
 }
@@ -150,10 +169,7 @@ INSTANTIATE_TEST_SUITE_P(
         Case{"GqaMidSpanPrefill", {4, 2, 16}, 7, 9, DType::BF16}),
     [](const auto& info) { return std::string(info.param.name); });
 
-// The two edge shapes run as plain tests, so their ctest names are
-// fixed: ctest names a Shapes case after gtest's byte dump of its
-// Case, and the dump starts with the address of the name literal,
-// which ASLR moves from run to run.
+// The two edge shapes run as plain tests.
 TEST(FusedAttention, OddHeadDimMatchesReferenceWithinTolerance)
 {
     expectMatchesReference({"OddHeadDim", {4, 4, 20}, 1, 31, DType::BF16});
@@ -172,11 +188,9 @@ TEST(FusedAttention, BatchedSequencesMatchPerSequenceCalls)
     Problem a2 = makeProblem(shape, 1, 40, DType::BF16, 0, 1);
     Problem b2 = makeProblem(shape, 1, 40, DType::BF16, 0, 2);
 
-    std::vector<AttnSeqView> batch{a.view(), b.view()};
-    attnFused(shape, 1, 40, batch.data(), batch.size());
-    AttnSeqView va = a2.view(), vb = b2.view();
-    attnFused(shape, 1, 40, &va, 1);
-    attnFused(shape, 1, 40, &vb, 1);
+    runFused({&a, &b});
+    runFused({&a2});
+    runFused({&b2});
     EXPECT_EQ(a.out, a2.out);
     EXPECT_EQ(b.out, b2.out);
 }
@@ -186,12 +200,11 @@ TEST(FusedAttention, BitwiseInvariantToThreadCount)
     const AttnShape shape{8, 4, 16};
     Problem p1 = makeProblem(shape, 4, 29, DType::BF16);
     Problem p4 = makeProblem(shape, 4, 29, DType::BF16);
-    AttnSeqView v1 = p1.view(), v4 = p4.view();
 
     setMaxThreads(1);
-    attnFused(shape, 4, 29, &v1, 1);
+    runFused({&p1});
     setMaxThreads(4);
-    attnFused(shape, 4, 29, &v4, 1);
+    runFused({&p4});
     setMaxThreads(0); // restore default
 
     ASSERT_EQ(p1.out.size(), p4.out.size());
@@ -209,11 +222,9 @@ TEST(FusedAttention, PagedChunkingIsBitwiseIrrelevant)
     Problem ragged = makeProblem(shape, 1, 47, DType::BF16, 5);
     ASSERT_EQ(whole.kChunks.size(), 1u);
     ASSERT_EQ(paged.kChunks.size(), 3u);
-    AttnSeqView vw = whole.view(), vp = paged.view(),
-                vr = ragged.view();
-    attnFused(shape, 1, 47, &vw, 1);
-    attnFused(shape, 1, 47, &vp, 1);
-    attnFused(shape, 1, 47, &vr, 1);
+    runFused({&whole});
+    runFused({&paged});
+    runFused({&ragged});
     EXPECT_EQ(whole.out, paged.out);
     EXPECT_EQ(whole.out, ragged.out);
 }
@@ -226,15 +237,14 @@ TEST(FusedAttention, DecodeEqualsPrefillLastRow)
     const std::int64_t m = 6;
     Problem pre = makeProblem(shape, m, 0, DType::F32);
     Problem dec = makeProblem(shape, m, 0, DType::F32);
-    AttnSeqView pv = pre.view();
-    attnFused(shape, m, 0, &pv, 1);
+    runFused({&pre});
 
-    // Decode view: the last query row only, span m - 1 + 1 rows.
+    // Decode slot: the last query row only, span m - 1 + 1 rows.
     const std::int64_t width = shape.heads * shape.headDim;
-    AttnSeqView dv = dec.view();
-    dv.q = dec.q.data() + (m - 1) * width;
-    dv.out = dec.out.data() + (m - 1) * width;
-    attnFused(shape, 1, m - 1, &dv, 1);
+    AttnRaggedSeq ds{dec.view(), m - 1, 1};
+    ds.view.q = dec.q.data() + (m - 1) * width;
+    ds.view.out = dec.out.data() + (m - 1) * width;
+    attnFusedRagged(shape, &ds, 1);
     for (std::int64_t i = 0; i < width; ++i)
         EXPECT_EQ(pre.out[static_cast<std::size_t>((m - 1) * width +
                                                    i)],
@@ -247,14 +257,12 @@ TEST(FusedAttention, ScratchStopsGrowingInSteadyState)
     const AttnShape shape{4, 2, 16};
     setMaxThreads(1); // keep the kernel on this thread's scratch
     Problem warm = makeProblem(shape, 1, 63, DType::BF16);
-    AttnSeqView wv = warm.view();
-    attnFused(shape, 1, 63, &wv, 1);
+    runFused({&warm});
 
     const std::uint64_t after_warmup = attnStats().scratchAllocs;
     for (int rep = 0; rep < 8; ++rep) {
         Problem p = makeProblem(shape, 1, 63, DType::BF16);
-        AttnSeqView v = p.view();
-        attnFused(shape, 1, 63, &v, 1);
+        runFused({&p});
     }
     EXPECT_EQ(attnStats().scratchAllocs, after_warmup)
         << "steady-state decode must not grow kernel scratch";
@@ -267,12 +275,12 @@ TEST(FusedAttention, StatsCountCallsAndRows)
     const AttnStats before = attnStats();
     Problem dec = makeProblem(shape, 1, 15, DType::F32);
     Problem pre = makeProblem(shape, 4, 0, DType::F32);
-    AttnSeqView dv = dec.view(), pv = pre.view();
-    attnFused(shape, 1, 15, &dv, 1);
-    attnFused(shape, 4, 0, &pv, 1);
+    runFused({&dec});
+    runFused({&pre});
     const AttnStats after = attnStats();
     EXPECT_EQ(after.decodeCalls - before.decodeCalls, 1u);
     EXPECT_EQ(after.prefillCalls - before.prefillCalls, 1u);
+    EXPECT_EQ(after.raggedCalls - before.raggedCalls, 0u);
     // One sequence x two kv heads per call.
     EXPECT_EQ(after.tasks - before.tasks, 4u);
     EXPECT_EQ(after.spanRows - before.spanRows,
@@ -305,8 +313,7 @@ TEST(RaggedAttention, MatchesPerSequenceFusedBitwise)
     }
     attnFusedRagged(shape, slots.data(), slots.size());
     for (int s = 0; s < 4; ++s) {
-        AttnSeqView v = solo[static_cast<std::size_t>(s)].view();
-        attnFused(shape, ms[s], pos[s], &v, 1);
+        runFused({&solo[static_cast<std::size_t>(s)]});
         EXPECT_EQ(ragged[static_cast<std::size_t>(s)].out,
                   solo[static_cast<std::size_t>(s)].out)
             << "sequence " << s;
@@ -353,9 +360,28 @@ TEST(RaggedAttention, StatsCountRaggedCallsAndRows)
     const AttnStats after = attnStats();
     EXPECT_EQ(after.raggedCalls - before.raggedCalls, 1u);
     EXPECT_EQ(after.decodeCalls - before.decodeCalls, 0u);
+    EXPECT_EQ(after.prefillCalls - before.prefillCalls, 0u);
     // Two sequences x two kv heads.
     EXPECT_EQ(after.tasks - before.tasks, 4u);
     EXPECT_EQ(after.spanRows - before.spanRows, 2u * 10u + 2u * 6u);
+}
+
+TEST(RaggedAttention, AllDecodeSlotsCountAsOneDecodeCall)
+{
+    // A continuous-batching decode step: several sequences, every
+    // slot at m == 1, is one decode call, not a ragged one.
+    const AttnShape shape{4, 2, 8};
+    Problem a = makeProblem(shape, 1, 3, DType::F32);
+    Problem b = makeProblem(shape, 1, 11, DType::F32);
+    Problem c = makeProblem(shape, 1, 20, DType::F32);
+    const AttnStats before = attnStats();
+    runFused({&a, &b, &c});
+    const AttnStats after = attnStats();
+    EXPECT_EQ(after.decodeCalls - before.decodeCalls, 1u);
+    EXPECT_EQ(after.raggedCalls - before.raggedCalls, 0u);
+    EXPECT_EQ(after.prefillCalls - before.prefillCalls, 0u);
+    // Three sequences x two kv heads.
+    EXPECT_EQ(after.tasks - before.tasks, 6u);
 }
 
 } // namespace

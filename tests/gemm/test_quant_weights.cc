@@ -258,7 +258,7 @@ TEST(FusedKernels, GemvMatchesGemmAtM1Bitwise)
     EXPECT_TRUE(bitwiseEqual(gemm_c, gemv_c));
 }
 
-// The attnFused contract: fixed 16-column tasks make the fused
+// The attnFusedRagged contract: fixed 16-column tasks make the fused
 // kernels bitwise invariant to thread count and backend.
 TEST(FusedKernels, ThreadCountAndBackendInvariance)
 {

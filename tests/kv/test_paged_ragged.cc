@@ -9,10 +9,10 @@
 
 /**
  * @file
- * Ragged per-sequence lengths and the paged-pool sharing machinery
- * behind continuous batching: reserve/write/commit, refcounted
- * prefix sharing with copy-on-write, admission failure, and the
- * reset() + ragged-append span-validity regression.
+ * The paged-pool machinery behind continuous batching:
+ * reserve/write/commit, refcounted prefix sharing with copy-on-write,
+ * admission failure, and the span-validity regression after reset()
+ * (on the lockstep KvCache too).
  */
 
 namespace cpullm {
@@ -67,51 +67,21 @@ expectTokens(const PagedKvCache& c, std::int64_t seq,
     }
 }
 
-TEST(KvCacheRagged, PerSequenceLengthsAndSpans)
-{
-    KvCache c(2, 3, 4, 16, DType::F32);
-    std::vector<float> k(4), v(4);
-    for (std::int64_t b = 0; b < 3; ++b) {
-        const std::int64_t len = 2 + 3 * b; // 2, 5, 8
-        for (std::int64_t p = 0; p < len; ++p) {
-            for (std::int64_t l = 0; l < 2; ++l) {
-                for (std::int64_t i = 0; i < 4; ++i) {
-                    k[static_cast<std::size_t>(i)] =
-                        val(p, i, static_cast<float>(10 * b + l));
-                    v[static_cast<std::size_t>(i)] = 0.0f;
-                }
-                c.write(l, b, p, k.data(), v.data());
-            }
-        }
-        c.setSeqLen(b, len);
-    }
-    EXPECT_EQ(c.seqLen(0), 2);
-    EXPECT_EQ(c.seqLen(1), 5);
-    EXPECT_EQ(c.seqLen(2), 8);
-    EXPECT_EQ(c.seqLen(), 8); // batch-wide max
-    for (std::int64_t b = 0; b < 3; ++b) {
-        const KvSpan s = c.kSpan(1, b); // default len: per-sequence
-        EXPECT_EQ(s.len, 2 + 3 * b);
-        const float* row = s.rowF32(s.len - 1);
-        EXPECT_EQ(row[3],
-                  val(s.len - 1, 3, static_cast<float>(10 * b + 1)));
-    }
-}
-
 TEST(KvCacheRagged, LockstepSetSeqLenStillCoversAllSequences)
 {
     KvCache c(1, 2, 4, 8, DType::F32);
     c.setSeqLen(3);
-    EXPECT_EQ(c.seqLen(0), 3);
-    EXPECT_EQ(c.seqLen(1), 3);
+    EXPECT_EQ(c.kSpan(0, 0).len, 3);
+    EXPECT_EQ(c.kSpan(0, 1).len, 3);
     c.reset();
     EXPECT_EQ(c.seqLen(), 0);
-    EXPECT_EQ(c.seqLen(1), 0);
+    EXPECT_EQ(c.kSpan(0, 1).len, 0);
 }
 
-// The satellite regression: reset() followed by ragged appends must
-// hand out span views that alias the same storage and match element
-// reads.
+// The reset() regression: a refill after reset() must hand out span
+// views that alias the same storage and match element reads. The
+// contiguous store now refills in lockstep; the paged pool's ragged
+// refill is ResetReturnsAllBlocksAndSpansStayValid below.
 TEST(KvCacheRagged, ResetThenRaggedAppendKeepsSpansValid)
 {
     KvCache c(1, 2, 4, 8, DType::BF16);
@@ -121,28 +91,27 @@ TEST(KvCacheRagged, ResetThenRaggedAppendKeepsSpansValid)
     const KvSpan before = c.kSpan(0, 0);
     c.reset();
     ASSERT_EQ(c.kSpan(0, 0).len, 0);
-    // Ragged refill: sequence 0 gets 3 tokens, sequence 1 gets 1.
+    // Refill both sequences with 3 tokens of distinct values.
     for (std::int64_t b = 0; b < 2; ++b) {
-        const std::int64_t len = b == 0 ? 3 : 1;
-        for (std::int64_t p = 0; p < len; ++p) {
+        for (std::int64_t p = 0; p < 3; ++p) {
             for (std::int64_t i = 0; i < 4; ++i)
                 k[static_cast<std::size_t>(i)] =
                     val(p, i, static_cast<float>(b));
             c.write(0, b, p, k.data(), v.data());
         }
-        c.setSeqLen(b, len);
     }
-    const KvSpan s0 = c.kSpan(0, 0);
-    const KvSpan s1 = c.kSpan(0, 1);
-    EXPECT_EQ(s0.data, before.data); // same storage, no realloc
-    ASSERT_EQ(s0.len, 3);
-    ASSERT_EQ(s1.len, 1);
+    c.setSeqLen(3);
+    EXPECT_EQ(c.kSpan(0, 0).data, before.data); // same storage
     std::vector<float> ref(4);
-    for (std::int64_t p = 0; p < 3; ++p) {
-        c.readK(0, 0, p, ref.data());
-        for (std::int64_t i = 0; i < 4; ++i)
-            EXPECT_EQ(s0.at(p, i),
-                      ref[static_cast<std::size_t>(i)]);
+    for (std::int64_t b = 0; b < 2; ++b) {
+        const KvSpan s = c.kSpan(0, b);
+        ASSERT_EQ(s.len, 3);
+        for (std::int64_t p = 0; p < 3; ++p) {
+            c.readK(0, b, p, ref.data());
+            for (std::int64_t i = 0; i < 4; ++i)
+                EXPECT_EQ(s.at(p, i),
+                          ref[static_cast<std::size_t>(i)]);
+        }
     }
 }
 

@@ -15,7 +15,8 @@ TEST(Linear, AppliesBias)
     const Tensor x = Tensor::fromValues({1, 2}, {1, 2});
     const Tensor w = Tensor::fromValues({2, 3}, {1, 0, 0, 0, 1, 0});
     const Tensor b = Tensor::fromValues({3}, {10, 20, 30});
-    const Tensor y = linear(gemm::Engine::Reference, x, w, &b);
+    const gemm::PreparedB pw(gemm::Engine::Reference, w);
+    const Tensor y = linear(gemm::Engine::Reference, x, pw, &b);
     EXPECT_FLOAT_EQ(y.at(0), 11.0f);
     EXPECT_FLOAT_EQ(y.at(1), 22.0f);
     EXPECT_FLOAT_EQ(y.at(2), 30.0f);

@@ -13,12 +13,11 @@ namespace model {
 namespace {
 
 /**
- * The tentpole equivalence: a ragged (continuous-batching) decode
+ * The batching equivalence: a ragged (continuous-batching) decode
  * step over the paged cache must be bitwise identical to running each
- * sequence alone through the contiguous path — same tokens, same
- * logits — at any thread count and under weight quantization. Every
- * per-row operator is row-independent, so fusing rows changes
- * nothing.
+ * sequence alone on its own paged cache — same tokens, same logits —
+ * at any thread count and under weight quantization. Every per-row
+ * operator is row-independent, so fusing rows changes nothing.
  */
 
 ModelSpec
@@ -37,21 +36,21 @@ prompt(const ModelSpec& spec, std::int64_t len, std::uint64_t seed)
     return engine::syntheticPrompts(spec.vocabSize, 1, len, seed)[0];
 }
 
-/** Per-sequence reference: contiguous cache, one sequence at a time. */
+/** A pool holding one sequence of the model's full length. */
+kv::PagedKvCache
+soloCache(const TransformerModel& m)
+{
+    return m.makePagedKvCache(8, (m.spec().maxSeqLen + 7) / 8);
+}
+
+/** Per-sequence reference: the sequence alone on its own cache. */
 std::vector<std::int64_t>
 sequentialGreedy(TransformerModel& m,
                  const std::vector<std::int64_t>& p,
                  std::int64_t gen_len)
 {
-    kv::KvCache cache = m.makeKvCache(1, m.spec().maxSeqLen);
-    std::vector<std::int64_t> out;
-    std::vector<std::int64_t> last = m.prefill({p}, cache);
-    out.push_back(last[0]);
-    for (std::int64_t step = 1; step < gen_len; ++step) {
-        last = m.decodeStep(last, cache);
-        out.push_back(last[0]);
-    }
-    return out;
+    kv::PagedKvCache cache = soloCache(m);
+    return m.generate({p}, gen_len, cache)[0];
 }
 
 /**
@@ -120,13 +119,17 @@ TEST(RaggedDecode, LogitsBitwiseEqualToPerSequenceForward)
     const auto pa = prompt(spec, 5, 6);
     const auto pb = prompt(spec, 12, 7);
 
-    // Contiguous reference, one sequence per cache.
-    kv::KvCache ca = m.makeKvCache(1, spec.maxSeqLen);
-    kv::KvCache cb = m.makeKvCache(1, spec.maxSeqLen);
-    const std::int64_t ta = m.prefill({pa}, ca)[0];
-    const std::int64_t tb = m.prefill({pb}, cb)[0];
-    const Tensor la = m.forwardTokens({ta}, ca.seqLen(), ca);
-    const Tensor lb = m.forwardTokens({tb}, cb.seqLen(), cb);
+    // Reference: each sequence alone on its own cache.
+    auto alone = [&m](const std::vector<std::int64_t>& p,
+                      std::int64_t& first) {
+        kv::PagedKvCache c = soloCache(m);
+        const std::int64_t seq = c.addSequence();
+        first = m.prefillPaged(p, seq, c);
+        return m.forwardRagged({first}, {{seq, c.seqLen(seq), 1}}, c);
+    };
+    std::int64_t ta = 0, tb = 0;
+    const Tensor la = alone(pa, ta);
+    const Tensor lb = alone(pb, tb);
 
     // Ragged paged path at the same state, one fused step.
     kv::PagedKvCache paged = m.makePagedKvCache(8, 16);
@@ -168,6 +171,9 @@ TEST(RaggedDecode, ThreadCountInvariant)
     const auto t4 = raggedGreedy(m, prompts, 8, c4);
     setMaxThreads(0);
     EXPECT_EQ(t1, t4);
+    for (std::size_t s = 0; s < prompts.size(); ++s)
+        EXPECT_EQ(t1[s], sequentialGreedy(m, prompts[s], 8))
+            << "sequence " << s;
 }
 
 TEST(RaggedDecode, QuantizedWeightsStayBitwiseEquivalent)

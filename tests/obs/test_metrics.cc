@@ -214,13 +214,15 @@ TEST(HostAttnStats, RecordedAsScalars)
     span.len = 4;
     span.rowElems = 16;
     span.stride = 16;
-    gemm::AttnSeqView seq;
-    seq.q = q.data();
-    seq.out = out.data();
-    seq.k = &span;
-    seq.v = &span;
-    seq.chunks = 1;
-    gemm::attnFused(shape, 1, 3, &seq, 1);
+    gemm::AttnRaggedSeq slot;
+    slot.view.q = q.data();
+    slot.view.out = out.data();
+    slot.view.k = &span;
+    slot.view.v = &span;
+    slot.view.chunks = 1;
+    slot.pos0 = 3;
+    slot.m = 1;
+    gemm::attnFusedRagged(shape, &slot, 1);
 
     stats::Registry reg;
     recordHostAttnStats(reg);

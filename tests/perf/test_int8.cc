@@ -92,7 +92,7 @@ TEST(Int8Functional, TinyModelGeneratesThroughTdpbssd)
     // through the emulated TDPBSSD kernels.
     const auto spec = model::tinyTestModel();
     model::TransformerModel m(spec, gemm::Engine::AmxI8, 7);
-    kv::KvCache cache = m.makeKvCache(1, 24);
+    kv::PagedKvCache cache = m.makePagedKvCache(8, 3);
     const auto prompts =
         engine::syntheticPrompts(spec.vocabSize, 1, 8, 3);
     const auto out = m.generate(prompts, 6, cache);
@@ -109,10 +109,10 @@ TEST(Int8Functional, LogitsCorrelateWithFp32Reference)
     const auto spec = model::tinyTestModel();
     model::TransformerModel ref(spec, gemm::Engine::Reference, 9);
     model::TransformerModel q(spec, gemm::Engine::AmxI8, 9);
-    kv::KvCache c1 = ref.makeKvCache(1, 8);
-    kv::KvCache c2 = q.makeKvCache(1, 8);
-    const Tensor l1 = ref.forwardTokens({5}, 0, c1);
-    const Tensor l2 = q.forwardTokens({5}, 0, c2);
+    kv::PagedKvCache c1 = ref.makePagedKvCache(8, 1);
+    kv::PagedKvCache c2 = q.makePagedKvCache(8, 1);
+    const Tensor l1 = ref.forwardRagged({5}, {{c1.addSequence(), 0, 1}}, c1);
+    const Tensor l2 = q.forwardRagged({5}, {{c2.addSequence(), 0, 1}}, c2);
     // Per-tensor INT8 is coarse; require bounded deviation, not bit
     // equality.
     EXPECT_LE(maxAbsDiff(l1, l2), 1.5f);

@@ -19,12 +19,13 @@ prompt(const model::ModelSpec& spec, std::int64_t len,
     return engine::syntheticPrompts(spec.vocabSize, 1, len, seed)[0];
 }
 
-/** Ground truth: the contiguous single-sequence generate loop. */
+/** Ground truth: the sequence generated alone on its own cache. */
 std::vector<std::int64_t>
 sequential(model::TransformerModel& m,
            const std::vector<std::int64_t>& p, std::int64_t gen_len)
 {
-    kv::KvCache cache = m.makeKvCache(1, m.spec().maxSeqLen);
+    kv::PagedKvCache cache =
+        m.makePagedKvCache(8, (m.spec().maxSeqLen + 7) / 8);
     return m.generate({p}, gen_len, cache)[0];
 }
 
