@@ -7,8 +7,8 @@
  * Tensor::at, one scalar dot per (head, position), a two-pass
  * softmax, and per-call kbuf/vbuf/scores heap buffers.
  *
- * This measures *host* execution speed of the emulator — how fast
- * decode attention runs on the development machine — not simulated
+ * This measures *host* execution speed of the functional kernel — how
+ * fast decode attention runs on the development machine — not simulated
  * device timing (src/perf computes that analytically). Two baseline
  * files come out of a run:
  *

@@ -2,11 +2,21 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
-#include "isa/avx512.h"
+// The AVX-512F body uses intrinsics inside target("avx512f")
+// functions, which GCC/Clang permit without any -march flag; runtime
+// dispatch (hostTask) keeps the binary portable.
+#if defined(__x86_64__) && defined(__GNUC__)
+#define CPULLM_X86_DISPATCH 1
+#include <immintrin.h>
+#endif
+
+#include "numerics/bf16.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
@@ -22,18 +32,19 @@ std::atomic<std::uint64_t> tasks_{0};
 std::atomic<std::uint64_t> spanRows_{0};
 std::atomic<std::uint64_t> scratchAllocs_{0};
 
+/** Keys per tile: one per 16-lane FP32 vector lane. */
+constexpr std::int64_t kTile = 16;
+
 /**
  * Per-thread kernel scratch: grown monotonically, reused across
  * calls, never freed while the thread lives. Steady-state decode
- * touches no allocator (the satellite fix for the per-call
- * kbuf/vbuf/scores churn of the old naive loop).
+ * touches no allocator.
  */
 struct AttnScratch
 {
-    std::vector<float> krow;   ///< widened K head-slice (BF16 spans)
-    std::vector<float> vrow;   ///< widened V head-slice
-    std::vector<float> runMax; ///< online-softmax running max
-    std::vector<float> runSum; ///< online-softmax running sum
+    std::vector<float> tile;   ///< widened K^T, V and K staging
+    std::vector<float> runMax; ///< online-softmax running max per row
+    std::vector<float> runSum; ///< online-softmax running sum per row
 
     static void
     ensure(std::vector<float>& v, std::size_t n)
@@ -44,6 +55,17 @@ struct AttnScratch
         }
         v.resize(n);
     }
+
+    /** @p n floats of the tile buffer, 64-byte aligned, so every
+     *  16-lane row of a widened tile is one cache line. */
+    float*
+    tileFloats(std::size_t n)
+    {
+        ensure(tile, n + kTile - 1);
+        const std::size_t misalign =
+            reinterpret_cast<std::uintptr_t>(tile.data()) % 64;
+        return tile.data() + (64 - misalign) % 64 / sizeof(float);
+    }
 };
 
 AttnScratch&
@@ -53,70 +75,41 @@ attnScratch()
     return s;
 }
 
-/** q . k over @p n FP32 elements on the emulated AVX-512 lanes. */
-float
-dotF32(const float* a, const float* b, std::int64_t n)
+/** One cached row's kv-head slice, in its storage dtype. */
+struct RowRef
 {
-    using isa::Vec512;
-    Vec512 acc = Vec512::zero();
-    std::int64_t i = 0;
-    for (; i + Vec512::kF32Lanes <= n; i += Vec512::kF32Lanes)
-        acc = isa::fma(acc, Vec512::loadF32(a + i),
-                       Vec512::loadF32(b + i));
-    float s = isa::horizontalSum(acc);
-    for (; i < n; ++i)
-        s += a[i] * b[i];
-    return s;
-}
+    const void* data = nullptr;
+    DType dtype = DType::F32;
+};
 
-/** acc += w * v over @p n FP32 elements (VFMADD231PS idiom). */
+/** Widens @p n elements of @p r to FP32 (FP32 rows are copied). */
 void
-axpyF32(float w, const float* v, float* acc, std::int64_t n)
+widenRow(RowRef r, std::int64_t n, float* dst)
 {
-    using isa::Vec512;
-    const Vec512 wv = Vec512::broadcast(w);
-    std::int64_t i = 0;
-    for (; i + Vec512::kF32Lanes <= n; i += Vec512::kF32Lanes) {
-        const Vec512 r = isa::fma(Vec512::loadF32(acc + i), wv,
-                                  Vec512::loadF32(v + i));
-        r.storeF32(acc + i);
+    if (r.dtype == DType::F32) {
+        std::memcpy(dst, r.data, static_cast<std::size_t>(n) *
+                                     sizeof(float));
+        return;
     }
-    for (; i < n; ++i)
-        acc[i] += w * v[i];
-}
-
-/** acc *= s over @p n FP32 elements (VMULPS idiom). */
-void
-scaleF32(float s, float* acc, std::int64_t n)
-{
-    using isa::Vec512;
-    const Vec512 sv = Vec512::broadcast(s);
-    std::int64_t i = 0;
-    for (; i + Vec512::kF32Lanes <= n; i += Vec512::kF32Lanes) {
-        const Vec512 r = isa::mul(Vec512::loadF32(acc + i), sv);
-        r.storeF32(acc + i);
-    }
-    for (; i < n; ++i)
-        acc[i] *= s;
+    const BFloat16* src = static_cast<const BFloat16*>(r.data);
+    for (std::int64_t i = 0; i < n; ++i)
+        dst[i] = src[i].toFloat();
 }
 
 /**
  * Sequential walker over a span chunk list, yielding one kv-head
- * slice (@p n elements at element offset @p off) per row in position
- * order. BF16 rows are widened once into @p scratch; FP32 rows are
- * returned in place.
+ * slice (at element offset @p off) per row in position order.
  */
 class SliceCursor
 {
   public:
     SliceCursor(const kv::KvSpan* chunks, std::size_t n_chunks,
-                std::int64_t off, std::int64_t n, float* scratch)
-        : chunks_(chunks), n_chunks_(n_chunks), off_(off), n_(n),
-          scratch_(scratch)
+                std::int64_t off)
+        : chunks_(chunks), n_chunks_(n_chunks), off_(off)
     {
     }
 
-    const float*
+    RowRef
     next()
     {
         while (chunk_ < n_chunks_ && local_ >= chunks_[chunk_].len) {
@@ -126,34 +119,275 @@ class SliceCursor
         CPULLM_ASSERT(chunk_ < n_chunks_,
                       "KV span chunks shorter than the attended span");
         const kv::KvSpan& sp = chunks_[chunk_];
-        const float* out;
-        if (sp.dtype == DType::F32) {
-            out = static_cast<const float*>(sp.data) +
-                  local_ * sp.stride + off_;
-        } else {
-            CPULLM_ASSERT(sp.dtype == DType::BF16,
-                          "unsupported KV span dtype ",
-                          dtypeName(sp.dtype));
-            const BFloat16* row = static_cast<const BFloat16*>(
-                                      sp.data) +
-                                  local_ * sp.stride + off_;
-            for (std::int64_t i = 0; i < n_; ++i)
-                scratch_[i] = row[i].toFloat();
-            out = scratch_;
-        }
+        CPULLM_ASSERT(sp.dtype == DType::F32 || sp.dtype == DType::BF16,
+                      "unsupported KV span dtype ", dtypeName(sp.dtype));
+        const std::int64_t elem = local_ * sp.stride + off_;
         ++local_;
-        return out;
+        if (sp.dtype == DType::F32)
+            return {static_cast<const float*>(sp.data) + elem, sp.dtype};
+        return {static_cast<const BFloat16*>(sp.data) + elem, sp.dtype};
     }
 
   private:
     const kv::KvSpan* chunks_;
     std::size_t n_chunks_;
     std::int64_t off_;
-    std::int64_t n_;
-    float* scratch_;
     std::size_t chunk_ = 0;
     std::int64_t local_ = 0;
 };
+
+/**
+ * One widened 16-key tile in a task's scratch. kt is K transposed,
+ * [hdPad][16], so one score vector is headDim broadcast-FMAs; vt is
+ * V row-major, [16][hdPad]; stage holds K row-major while it is
+ * transposed. hdPad rounds headDim up to whole 16-lane rows; rows
+ * and columns past the tile's keys or headDim are never read into a
+ * result.
+ */
+struct Tile
+{
+    float* kt;
+    float* vt;
+    float* stage;
+    std::int64_t hd;
+    std::int64_t hdPad;
+    float scale;
+};
+
+// e^x on 16 lanes for x <= 0 (Cephes expf): x = n ln2 + r with
+// |r| <= ln2/2 (ln2 split hi/lo), a degree-6 polynomial for e^r, then
+// a 2^n scale. Lanes below kExpMin, where e^x is no longer a normal
+// float, come out exactly 0, and so do NaN and -inf lanes.
+constexpr float kExpMin = -87.33654f; // ln(FLT_MIN)
+constexpr float kLog2e = 1.44269504088896341f;
+constexpr float kLn2Hi = 0.693359375f;
+constexpr float kLn2Lo = -2.12194440e-4f;
+constexpr float kExpP[] = {1.9875691500e-4f, 1.3981999507e-3f,
+                           8.3334519073e-3f, 4.1665795894e-2f,
+                           1.6666665459e-1f, 5.0000001201e-1f};
+
+/**
+ * Portable body: plain loops over the 16 key lanes with independent
+ * per-lane chains, which the compiler maps onto whatever vector unit
+ * the build targets.
+ */
+struct PortableTile
+{
+    static void
+    pack(const Tile& t, const RowRef* k, const RowRef* v,
+         std::int64_t n)
+    {
+        for (std::int64_t j = 0; j < n; ++j) {
+            widenRow(k[j], t.hd, t.stage + j * t.hdPad);
+            widenRow(v[j], t.hd, t.vt + j * t.hdPad);
+        }
+        for (std::int64_t d = 0; d < t.hd; ++d)
+            for (std::int64_t j = 0; j < kTile; ++j)
+                t.kt[d * kTile + j] =
+                    j < n ? t.stage[j * t.hdPad + d] : 0.0f;
+    }
+
+    /** out[l] = e^x[l] for the lanes in @p live, 0 elsewhere. */
+    static void
+    expLanes(const float* x, std::int64_t live, float* out)
+    {
+        for (std::int64_t l = 0; l < kTile; ++l) {
+            // Clamped into [kExpMin, 0], NaN to kExpMin, so the int
+            // conversion below stays in range on every lane.
+            const float xc =
+                x[l] > kExpMin ? (x[l] < 0.0f ? x[l] : 0.0f) : kExpMin;
+            // Round to nearest through the 1.5 * 2^23 bias.
+            const float n = (xc * kLog2e + 0x1.8p23f) - 0x1.8p23f;
+            float r = xc - n * kLn2Hi;
+            r = r - n * kLn2Lo;
+            float p = kExpP[0];
+            for (int c = 1; c < 6; ++c)
+                p = p * r + kExpP[c];
+            p = p * (r * r) + r + 1.0f;
+            const float pow2n = std::bit_cast<float>(
+                static_cast<std::uint32_t>(static_cast<std::int32_t>(n) +
+                                           127)
+                << 23);
+            out[l] = l < live && x[l] >= kExpMin ? p * pow2n : 0.0f;
+        }
+    }
+
+    static void
+    row(const Tile& t, const float* q, std::int64_t live,
+        float& run_max, float& run_sum, float* acc)
+    {
+        float s[kTile] = {};
+        for (std::int64_t d = 0; d < t.hd; ++d)
+            for (std::int64_t l = 0; l < kTile; ++l)
+                s[l] += q[d] * t.kt[d * kTile + l];
+        float tile_max = -std::numeric_limits<float>::infinity();
+        for (std::int64_t l = 0; l < live; ++l) {
+            s[l] *= t.scale;
+            tile_max = std::max(tile_max, s[l]);
+        }
+        const float m_new = std::max(run_max, tile_max);
+        const float alpha = std::exp(run_max - m_new);
+        for (std::int64_t l = 0; l < kTile; ++l)
+            s[l] -= m_new;
+        float p[kTile];
+        expLanes(s, live, p);
+        float lanes[kTile];
+        std::copy(p, p + kTile, lanes);
+        for (std::int64_t half = kTile / 2; half > 0; half /= 2)
+            for (std::int64_t l = 0; l < half; ++l)
+                lanes[l] += lanes[l + half];
+        run_sum = run_sum * alpha + lanes[0];
+        run_max = m_new;
+        for (std::int64_t i = 0; i < t.hd; ++i)
+            acc[i] *= alpha;
+        for (std::int64_t j = 0; j < live; ++j)
+            for (std::int64_t i = 0; i < t.hd; ++i)
+                acc[i] += p[j] * t.vt[j * t.hdPad + i];
+    }
+};
+
+#if CPULLM_X86_DISPATCH
+// GCC 12 warns inside the _mm512_reduce_* and mask intrinsics, whose
+// _mm512_undefined_*() operands are deliberately undefined inputs to
+// masked builtins (GCC PR105593); silence the false alarm.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+/** In-register transpose of 16 rows of 16 floats (64 shuffles). */
+__attribute__((target("avx512f"))) inline void
+transpose16(__m512* r)
+{
+    __m512 t[kTile];
+    for (int i = 0; i < 8; ++i) {
+        t[2 * i] = _mm512_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+        t[2 * i + 1] = _mm512_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+    }
+    // u[4i + c], 128-bit lane L: column 4L + c of rows 4i..4i+3.
+    __m512 u[kTile];
+    for (int i = 0; i < 4; ++i) {
+        u[4 * i] = _mm512_shuffle_ps(t[4 * i], t[4 * i + 2], 0x44);
+        u[4 * i + 1] = _mm512_shuffle_ps(t[4 * i], t[4 * i + 2], 0xEE);
+        u[4 * i + 2] =
+            _mm512_shuffle_ps(t[4 * i + 1], t[4 * i + 3], 0x44);
+        u[4 * i + 3] =
+            _mm512_shuffle_ps(t[4 * i + 1], t[4 * i + 3], 0xEE);
+    }
+    for (int c = 0; c < 4; ++c) {
+        const __m512 lo01 = _mm512_shuffle_f32x4(u[c], u[4 + c], 0x44);
+        const __m512 hi01 = _mm512_shuffle_f32x4(u[c], u[4 + c], 0xEE);
+        const __m512 lo23 =
+            _mm512_shuffle_f32x4(u[8 + c], u[12 + c], 0x44);
+        const __m512 hi23 =
+            _mm512_shuffle_f32x4(u[8 + c], u[12 + c], 0xEE);
+        r[c] = _mm512_shuffle_f32x4(lo01, lo23, 0x88);
+        r[4 + c] = _mm512_shuffle_f32x4(lo01, lo23, 0xDD);
+        r[8 + c] = _mm512_shuffle_f32x4(hi01, hi23, 0x88);
+        r[12 + c] = _mm512_shuffle_f32x4(hi01, hi23, 0xDD);
+    }
+}
+
+/** widenRow into a 64-byte aligned @p dst, 16 BF16 per VPMOVZXWD. */
+__attribute__((target("avx512f"))) inline void
+widenRowAvx512(RowRef r, std::int64_t n, float* dst)
+{
+    if (r.dtype == DType::F32) {
+        widenRow(r, n, dst);
+        return;
+    }
+    const BFloat16* src = static_cast<const BFloat16*>(r.data);
+    std::int64_t i = 0;
+    for (; i + kTile <= n; i += kTile) {
+        const __m256i h = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(src + i));
+        _mm512_store_ps(dst + i,
+                        _mm512_castsi512_ps(_mm512_slli_epi32(
+                            _mm512_cvtepu16_epi32(h), 16)));
+    }
+    for (; i < n; ++i)
+        dst[i] = src[i].toFloat();
+}
+
+/** The portable body's expLanes on one vector; VSCALEFPS applies
+ *  2^n. */
+__attribute__((target("avx512f"))) inline __m512
+expAvx512(__m512 x, __mmask16 live)
+{
+    live &= _mm512_cmp_ps_mask(x, _mm512_set1_ps(kExpMin), _CMP_GE_OQ);
+    const __m512 xc = _mm512_max_ps(x, _mm512_set1_ps(kExpMin));
+    const __m512 n = _mm512_roundscale_ps(
+        _mm512_mul_ps(xc, _mm512_set1_ps(kLog2e)),
+        _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+    __m512 r = _mm512_fnmadd_ps(n, _mm512_set1_ps(kLn2Hi), xc);
+    r = _mm512_fnmadd_ps(n, _mm512_set1_ps(kLn2Lo), r);
+    __m512 p = _mm512_set1_ps(kExpP[0]);
+    for (int c = 1; c < 6; ++c)
+        p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(kExpP[c]));
+    p = _mm512_add_ps(_mm512_fmadd_ps(p, _mm512_mul_ps(r, r), r),
+                      _mm512_set1_ps(1.0f));
+    return _mm512_maskz_scalef_ps(live, p, n);
+}
+
+/** AVX-512F body: the portable body's steps on native zmm lanes. */
+struct Avx512Tile
+{
+    __attribute__((target("avx512f"))) static void
+    pack(const Tile& t, const RowRef* k, const RowRef* v,
+         std::int64_t n)
+    {
+        for (std::int64_t j = 0; j < n; ++j) {
+            widenRowAvx512(k[j], t.hd, t.stage + j * t.hdPad);
+            widenRowAvx512(v[j], t.hd, t.vt + j * t.hdPad);
+        }
+        for (std::int64_t c0 = 0; c0 < t.hdPad; c0 += kTile) {
+            __m512 r[kTile];
+            for (std::int64_t j = 0; j < kTile; ++j)
+                r[j] = j < n ? _mm512_load_ps(t.stage + j * t.hdPad + c0)
+                             : _mm512_setzero_ps();
+            transpose16(r);
+            for (std::int64_t i = 0; i < kTile; ++i)
+                _mm512_store_ps(t.kt + (c0 + i) * kTile, r[i]);
+        }
+    }
+
+    __attribute__((target("avx512f"))) static void
+    row(const Tile& t, const float* q, std::int64_t live,
+        float& run_max, float& run_sum, float* acc)
+    {
+        __m512 s = _mm512_setzero_ps();
+        for (std::int64_t d = 0; d < t.hd; ++d)
+            s = _mm512_fmadd_ps(_mm512_set1_ps(q[d]),
+                                _mm512_load_ps(t.kt + d * kTile), s);
+        const __mmask16 keys =
+            static_cast<__mmask16>((1u << live) - 1u);
+        s = _mm512_mask_blend_ps(
+            keys,
+            _mm512_set1_ps(-std::numeric_limits<float>::infinity()),
+            _mm512_mul_ps(s, _mm512_set1_ps(t.scale)));
+        const float m_new = std::max(run_max, _mm512_reduce_max_ps(s));
+        const float alpha = std::exp(run_max - m_new);
+        const __m512 p =
+            expAvx512(_mm512_sub_ps(s, _mm512_set1_ps(m_new)), keys);
+        run_sum = run_sum * alpha + _mm512_reduce_add_ps(p);
+        run_max = m_new;
+        alignas(64) float pw[kTile];
+        _mm512_store_ps(pw, p);
+        const __m512 av = _mm512_set1_ps(alpha);
+        for (std::int64_t c = 0; c < t.hd; c += kTile) {
+            const std::int64_t cols = std::min(kTile, t.hd - c);
+            const __mmask16 cm =
+                static_cast<__mmask16>((1u << cols) - 1u);
+            __m512 a = _mm512_mul_ps(_mm512_maskz_loadu_ps(cm, acc + c),
+                                     av);
+            for (std::int64_t j = 0; j < live; ++j)
+                a = _mm512_fmadd_ps(
+                    _mm512_set1_ps(pw[j]),
+                    _mm512_load_ps(t.vt + j * t.hdPad + c), a);
+            _mm512_mask_storeu_ps(acc + c, cm, a);
+        }
+    }
+};
+#pragma GCC diagnostic pop
+#endif // CPULLM_X86_DISPATCH
 
 void
 checkArgs(const AttnShape& shape, std::int64_t m, std::int64_t pos0,
@@ -187,9 +421,17 @@ checkArgs(const AttnShape& shape, std::int64_t m, std::int64_t pos0,
     }
 }
 
-/** One (sequence, kv-head) task: the fused single-pass sweep. */
+/**
+ * One (sequence, kv-head) task. Tiles start at absolute positions
+ * 16t, whatever the chunking, and each is widened once and shared by
+ * all group * m query rows. A row at position P takes the tiles that
+ * start at or before P, with keys past P masked out, so its result
+ * depends only on its own query, position and keys: bitwise the same
+ * in a prefill span as in an m == 1 decode at P.
+ */
+template <class Body>
 void
-fusedTask(const AttnShape& shape, std::int64_t m, std::int64_t pos0,
+tiledTask(const AttnShape& shape, std::int64_t m, std::int64_t pos0,
           const AttnSeqView& seq, std::int64_t kvh, float scale)
 {
     const std::int64_t hd = shape.headDim;
@@ -197,59 +439,46 @@ fusedTask(const AttnShape& shape, std::int64_t m, std::int64_t pos0,
     const std::int64_t width = shape.heads * hd; // q/out row elements
     const std::int64_t span = pos0 + m;
     const std::int64_t states = group * m;
+    const std::int64_t hd_pad = (hd + kTile - 1) / kTile * kTile;
 
     AttnScratch& scr = attnScratch();
-    AttnScratch::ensure(scr.krow, static_cast<std::size_t>(hd));
-    AttnScratch::ensure(scr.vrow, static_cast<std::size_t>(hd));
+    float* buf =
+        scr.tileFloats(static_cast<std::size_t>(3 * kTile * hd_pad));
+    const Tile tile{buf, buf + kTile * hd_pad, buf + 2 * kTile * hd_pad,
+                    hd, hd_pad, scale};
     AttnScratch::ensure(scr.runMax, static_cast<std::size_t>(states));
     AttnScratch::ensure(scr.runSum, static_cast<std::size_t>(states));
-
-    const float neg_inf = -std::numeric_limits<float>::infinity();
-    for (std::int64_t st = 0; st < states; ++st) {
-        scr.runMax[static_cast<std::size_t>(st)] = neg_inf;
-        scr.runSum[static_cast<std::size_t>(st)] = 0.0f;
-    }
+    std::fill(scr.runMax.begin(), scr.runMax.end(),
+              -std::numeric_limits<float>::infinity());
+    std::fill(scr.runSum.begin(), scr.runSum.end(), 0.0f);
     // Accumulators live directly in the output rows this task owns.
-    for (std::int64_t g = 0; g < group; ++g) {
-        const std::int64_t h = kvh * group + g;
-        for (std::int64_t qi = 0; qi < m; ++qi) {
-            float* acc = seq.out + qi * width + h * hd;
-            for (std::int64_t i = 0; i < hd; ++i)
-                acc[i] = 0.0f;
+    for (std::int64_t g = 0; g < group; ++g)
+        for (std::int64_t qi = 0; qi < m; ++qi)
+            std::fill_n(seq.out + qi * width + (kvh * group + g) * hd, hd,
+                        0.0f);
+
+    SliceCursor kc(seq.k, seq.chunks, kvh * hd);
+    SliceCursor vc(seq.v, seq.chunks, kvh * hd);
+    RowRef krows[kTile], vrows[kTile];
+    for (std::int64_t t0 = 0; t0 < span; t0 += kTile) {
+        const std::int64_t n = std::min(kTile, span - t0);
+        for (std::int64_t j = 0; j < n; ++j) {
+            krows[j] = kc.next();
+            vrows[j] = vc.next();
         }
-    }
-
-    SliceCursor kc(seq.k, seq.chunks, kvh * hd, hd, scr.krow.data());
-    SliceCursor vc(seq.v, seq.chunks, kvh * hd, hd, scr.vrow.data());
-
-    for (std::int64_t p = 0; p < span; ++p) {
-        const float* krow = kc.next();
-        const float* vrow = vc.next();
-        // Causality: row p is visible to query rows qi >= p - pos0.
-        const std::int64_t qi_min = std::max<std::int64_t>(0,
-                                                           p - pos0);
+        Body::pack(tile, krows, vrows, n);
+        // Row qi sits at position pos0 + qi and sees this tile's keys
+        // up to there.
+        const std::int64_t qi_min = std::max<std::int64_t>(0, t0 - pos0);
         for (std::int64_t g = 0; g < group; ++g) {
             const std::int64_t h = kvh * group + g;
             for (std::int64_t qi = qi_min; qi < m; ++qi) {
-                const float* qh = seq.q + qi * width + h * hd;
-                float* acc = seq.out + qi * width + h * hd;
-                const std::size_t st =
-                    static_cast<std::size_t>(g * m + qi);
-                const float s = dotF32(qh, krow, hd) * scale;
-                // Online-softmax recurrence: rescale history only
-                // when the running max actually moves.
-                const float m_old = scr.runMax[st];
-                if (s > m_old) {
-                    const float alpha = std::exp(m_old - s);
-                    scr.runMax[st] = s;
-                    scr.runSum[st] = scr.runSum[st] * alpha + 1.0f;
-                    scaleF32(alpha, acc, hd); // exp(s - s) == 1
-                    axpyF32(1.0f, vrow, acc, hd);
-                } else {
-                    const float w = std::exp(s - m_old);
-                    scr.runSum[st] += w;
-                    axpyF32(w, vrow, acc, hd);
-                }
+                const std::size_t st = static_cast<std::size_t>(g * m +
+                                                                qi);
+                Body::row(tile, seq.q + qi * width + h * hd,
+                          std::min(kTile, pos0 + qi - t0 + 1),
+                          scr.runMax[st], scr.runSum[st],
+                          seq.out + qi * width + h * hd);
             }
         }
     }
@@ -257,12 +486,29 @@ fusedTask(const AttnShape& shape, std::int64_t m, std::int64_t pos0,
     for (std::int64_t g = 0; g < group; ++g) {
         const std::int64_t h = kvh * group + g;
         for (std::int64_t qi = 0; qi < m; ++qi) {
-            const std::size_t st = static_cast<std::size_t>(g * m +
-                                                            qi);
-            scaleF32(1.0f / scr.runSum[st],
-                     seq.out + qi * width + h * hd, hd);
+            const float inv =
+                1.0f / scr.runSum[static_cast<std::size_t>(g * m + qi)];
+            float* acc = seq.out + qi * width + h * hd;
+            for (std::int64_t i = 0; i < hd; ++i)
+                acc[i] *= inv;
         }
     }
+}
+
+using TaskFn = void (*)(const AttnShape&, std::int64_t, std::int64_t,
+                        const AttnSeqView&, std::int64_t, float);
+
+/** The host's task body: AVX-512F where the CPU has it, else the
+ *  portable one. Chosen once per process, so every call on a machine
+ *  runs one arithmetic sequence. */
+TaskFn
+hostTask()
+{
+#if CPULLM_X86_DISPATCH
+    if (__builtin_cpu_supports("avx512f"))
+        return &tiledTask<Avx512Tile>;
+#endif
+    return &tiledTask<PortableTile>;
 }
 
 } // namespace
@@ -312,6 +558,7 @@ attnFusedRagged(const AttnShape& shape, const AttnRaggedSeq* seqs,
                             static_cast<std::uint64_t>(shape.kvHeads),
                         std::memory_order_relaxed);
 
+    static const TaskFn task = hostTask();
     parallelFor(
         0, grid,
         [&](std::size_t idx) {
@@ -320,7 +567,7 @@ attnFusedRagged(const AttnShape& shape, const AttnRaggedSeq* seqs,
             const std::int64_t kvh = static_cast<std::int64_t>(
                 idx % static_cast<std::size_t>(shape.kvHeads));
             const AttnRaggedSeq& rs = seqs[b];
-            fusedTask(shape, rs.m, rs.pos0, rs.view, kvh, scale);
+            task(shape, rs.m, rs.pos0, rs.view, kvh, scale);
         },
         1);
 }
@@ -344,13 +591,12 @@ attnRef(const AttnShape& shape, std::int64_t m, std::int64_t pos0,
             for (std::int64_t h = 0; h < shape.heads; ++h) {
                 const std::int64_t kvh = h / group;
                 const float* qh = seq.q + qi * width + h * hd;
-                SliceCursor kc(seq.k, seq.chunks, kvh * hd, hd,
-                               kbuf.data());
-                SliceCursor vc(seq.v, seq.chunks, kvh * hd, hd,
-                               vbuf.data());
+                SliceCursor kc(seq.k, seq.chunks, kvh * hd);
+                SliceCursor vc(seq.v, seq.chunks, kvh * hd);
                 // The naive path's order: scalar dot per position...
                 for (std::int64_t p = 0; p < span; ++p) {
-                    const float* kh = kc.next();
+                    const float* kh = kbuf.data();
+                    widenRow(kc.next(), hd, kbuf.data());
                     float dot = 0.0f;
                     for (std::int64_t i = 0; i < hd; ++i)
                         dot += qh[i] * kh[i];
@@ -375,7 +621,8 @@ attnRef(const AttnShape& shape, std::int64_t m, std::int64_t pos0,
                 for (std::int64_t i = 0; i < hd; ++i)
                     ch[i] = 0.0f;
                 for (std::int64_t p = 0; p < span; ++p) {
-                    const float* vh = vc.next();
+                    const float* vh = vbuf.data();
+                    widenRow(vc.next(), hd, vbuf.data());
                     const float pw =
                         scores[static_cast<std::size_t>(p)] * inv;
                     for (std::int64_t i = 0; i < hd; ++i)

@@ -6,44 +6,50 @@
  * Fused decode/prefill attention over KV-cache span chunks.
  *
  * This is the functional hot path the paper's decode analysis points
- * at (Figs 6/7): per generated token, attention streams every cached
- * K and V vector once — a bandwidth-bound sweep that the naive
- * implementation (per-position readK/readV copies, per-element dtype
- * conversion, one scalar dot per head per position, a two-pass
- * softmax) turns into a compute-bound crawl. attnFusedRagged, the one
- * fused entry point, replaces it with a single-pass flash-style
- * kernel over per-sequence slots, each at its own (pos0, m):
+ * at (Figs 6/7, and Figs 20-21, where cost grows with sequence
+ * length): per generated token, attention streams every cached K and
+ * V vector once. attnFusedRagged, the one fused entry point, runs a
+ * single-pass tiled kernel over per-sequence slots, each at its own
+ * (pos0, m), with the block-wise online softmax of FlashAttention-2:
  *
- *  - K/V rows are read straight from KvSpan views in the storage
- *    dtype (BF16 widened once per row, FP32 streamed in place) —
- *    never copied per (head, position) like readK/readV.
- *  - Scores, the running softmax max/sum, and the V accumulation are
- *    fused into one sweep over the span (online softmax, the flash
- *    attention recurrence), so the span is traversed once instead of
- *    twice and no scores array is materialized.
- *  - GQA-aware: the (sequence x kv-head) grid reads each kv-head's
- *    K/V stream once and reuses it for all query heads of the group.
+ *  - Each (sequence x kv-head) task walks its span in 16-key tiles
+ *    that start at absolute positions 16t, whatever the KvSpan
+ *    chunking. A tile's K and V rows are widened to FP32 once (BF16
+ *    widened, FP32 copied) — K transposed to [headDim][16], V as
+ *    [16][headDim] — and shared by all group * m query rows of the
+ *    task, so the GQA group reads each kv-head's K/V stream once.
+ *  - Per query row and tile: 16 scores from headDim broadcast-FMAs,
+ *    keys past the row's own position masked to -inf, one scalar exp
+ *    to rescale the running max/sum/accumulator, a 16-lane vector exp
+ *    for the weights (masked lanes exactly 0), and the weighted sum
+ *    of V over the row's visible keys only. No scores array is
+ *    materialized.
+ *  - Two bodies run those steps: native AVX-512F intrinsics, and a
+ *    portable lane-parallel fallback that the compiler vectorizes for
+ *    the build's target. The choice is made once per process from
+ *    CPUID, so every call on one machine runs one arithmetic
+ *    sequence.
  *  - The grid fans out on util's persistent thread pool with
  *    per-thread scratch owned by the kernel, so a decode step costs
- *    no heap allocation. Task boundaries align with output rows,
- *    making results invariant to the thread count.
+ *    no heap allocation.
  *  - A slot with m > 1 is a prefill span: with queries at absolute
  *    positions [pos0, pos0 + m), query row i attends causally over
- *    span rows [0, pos0 + i]. Decode is m == 1. Each slot's tasks run
- *    the same sweep whatever the other slots hold, so a slot's output
- *    is bitwise the same alone or in any batch.
+ *    span rows [0, pos0 + i]. Decode is m == 1.
  *
- * Inner dot/axpy loops run on the emulated AVX-512 unit (isa::Vec512
- * FMA lanes), the same dispatch conventions as the packed GEMM
- * kernels: activations in FP32, reductions in FP32 lane order.
+ * Bitwise contracts, within one body: each output is computed whole
+ * by one task, so results do not depend on the thread count; a
+ * slot's output is the same alone or in any batch, and under any
+ * chunking of its span; and each prefill row equals an m == 1 decode
+ * at its position, because a row's arithmetic depends only on its
+ * query, its position and the keys up to it. Preemption and prefix
+ * sharing rely on the last one.
  *
  * Numerics: attnRef reproduces the naive loop's arithmetic order
  * exactly (scalar dots in position order, two-pass softmax).
- * attnFusedRagged changes only the reduction order (16-lane dots,
- * online rescaling); outputs match attnRef within kAttnTolerance for
- * O(1)-scaled inputs. Where the order is preserved — a span short
- * enough that the online max never updates after the first row and
- * head_dim <= one vector — the two are exact.
+ * attnFusedRagged changes the reduction order (per-lane dot chains,
+ * per-tile online rescaling) and computes the weights with a
+ * polynomial exp; outputs match attnRef within kAttnTolerance for
+ * O(1)-scaled inputs.
  *
  * AttnStats counts each fused call in exactly one bucket by its query
  * shape: decodeCalls when every slot has m == 1, prefillCalls when
@@ -61,8 +67,9 @@ namespace gemm {
  * Documented output tolerance of attnFusedRagged vs attnRef (max abs
  * diff) for inputs with O(1) per-element magnitude, e.g.
  * LayerNorm/RMSNorm activations. Both kernels accumulate in FP32;
- * they differ only in summation order, so the gap is a few ULPs
- * amplified by exp().
+ * they differ in summation order and in the exp used for the
+ * weights (a polynomial within a few ULPs of std::exp), so the gap
+ * is a few ULPs amplified by exp().
  */
 inline constexpr float kAttnTolerance = 1e-3f;
 

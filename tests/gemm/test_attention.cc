@@ -122,6 +122,8 @@ struct Case
     std::int64_t m;
     std::int64_t pos0;
     DType dtype;
+    std::int64_t chunkRows = 0; ///< 0: one contiguous chunk
+    float qGain = 1.0f;         ///< scales q to spread the scores
 };
 
 // ctest names each Shapes case after the printed parameter; print the
@@ -140,12 +142,18 @@ class FusedAttention : public ::testing::TestWithParam<Case>
 void
 expectMatchesReference(const Case& c)
 {
-    Problem fused = makeProblem(c.shape, c.m, c.pos0, c.dtype);
-    Problem ref = makeProblem(c.shape, c.m, c.pos0, c.dtype);
+    Problem fused = makeProblem(c.shape, c.m, c.pos0, c.dtype,
+                                c.chunkRows);
+    Problem ref = makeProblem(c.shape, c.m, c.pos0, c.dtype, c.chunkRows);
+    for (Problem* p : {&fused, &ref})
+        for (float& x : p->q)
+            x *= c.qGain;
     AttnSeqView rv = ref.view();
     runFused({&fused});
     attnRef(c.shape, c.m, c.pos0, &rv, 1);
     EXPECT_LE(maxAbsDiff(fused.out, ref.out), kAttnTolerance);
+    for (std::size_t i = 0; i < fused.out.size(); ++i)
+        ASSERT_TRUE(std::isfinite(fused.out[i])) << "element " << i;
 }
 
 TEST_P(FusedAttention, MatchesReferenceWithinTolerance)
@@ -166,7 +174,18 @@ INSTANTIATE_TEST_SUITE_P(
         Case{"MhaPrefillBf16", {8, 8, 16}, 24, 0, DType::BF16},
         Case{"GqaPrefillBf16", {8, 2, 16}, 24, 0, DType::BF16},
         Case{"GqaPrefillF32", {8, 2, 16}, 24, 0, DType::F32},
-        Case{"GqaMidSpanPrefill", {4, 2, 16}, 7, 9, DType::BF16}),
+        Case{"GqaMidSpanPrefill", {4, 2, 16}, 7, 9, DType::BF16},
+        // The perfbench model's geometry (GQA 12/4, headDim 64, BF16
+        // cache in 16-row blocks) at its span lengths: dozens of tiles
+        // per row. Scaling q spreads each row's scores: x 20 puts the
+        // smallest weights near e^-53, x 40 pushes some exp arguments
+        // past ln(FLT_MIN), where the vector exp flushes them to 0.
+        Case{"LlamaLongDecode", {12, 4, 64}, 1, 1039, DType::BF16, 16},
+        Case{"LlamaLongPrefill", {12, 4, 64}, 48, 1000, DType::BF16, 16},
+        Case{"LlamaDecodeQx20", {12, 4, 64}, 1, 1039, DType::BF16, 16,
+             20.0f},
+        Case{"LlamaDecodeQx40", {12, 4, 64}, 1, 1039, DType::BF16, 16,
+             40.0f}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // The two edge shapes run as plain tests.
@@ -252,10 +271,46 @@ TEST(FusedAttention, DecodeEqualsPrefillLastRow)
                                                    i)]);
 }
 
+TEST(FusedAttention, EveryPrefillRowEqualsDecodeAtItsPosition)
+{
+    // Preemption re-prefills a prompt plus its generated tokens as one
+    // span, and shared-prefix blocks come from another request's
+    // prefill, so every prefill row must equal, bitwise, an m == 1
+    // decode at its position. The query rows, at positions 9..48,
+    // cross the tile starts 16, 32 and 48, and neither end of the
+    // span is tile-aligned.
+    const AttnShape shape{12, 4, 64};
+    const std::int64_t pos0 = 9, m = 40;
+    const std::int64_t width = shape.heads * shape.headDim;
+    std::vector<float> whole;
+    for (const std::int64_t chunk : {0, 16, 5}) {
+        Problem pre = makeProblem(shape, m, pos0, DType::BF16, chunk);
+        Problem dec = makeProblem(shape, m, pos0, DType::BF16, chunk);
+        runFused({&pre});
+        if (chunk == 0)
+            whole = pre.out;
+        EXPECT_EQ(pre.out, whole) << "chunk " << chunk;
+        for (std::int64_t i = 0; i < m; ++i) {
+            AttnRaggedSeq ds{dec.view(), pos0 + i, 1};
+            ds.view.q = dec.q.data() + i * width;
+            ds.view.out = dec.out.data() + i * width;
+            attnFusedRagged(shape, &ds, 1);
+        }
+        ASSERT_EQ(pre.out.size(), dec.out.size());
+        for (std::size_t e = 0; e < pre.out.size(); ++e)
+            ASSERT_EQ(pre.out[e], dec.out[e])
+                << "chunk " << chunk << ", row "
+                << static_cast<std::int64_t>(e) / width;
+    }
+}
+
 TEST(FusedAttention, ScratchStopsGrowingInSteadyState)
 {
     const AttnShape shape{4, 2, 16};
     setMaxThreads(1); // keep the kernel on this thread's scratch
+    // A prefill first: per-row softmax state grows with group * m.
+    Problem prompt = makeProblem(shape, 24, 0, DType::BF16);
+    runFused({&prompt});
     Problem warm = makeProblem(shape, 1, 63, DType::BF16);
     runFused({&warm});
 
