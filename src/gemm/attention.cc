@@ -8,17 +8,15 @@
 #include <limits>
 #include <vector>
 
-// The AVX-512F body uses intrinsics inside target("avx512f")
-// functions, which GCC/Clang permit without any -march flag; runtime
-// dispatch (hostTask) keeps the binary portable.
-#if defined(__x86_64__) && defined(__GNUC__)
-#define CPULLM_X86_DISPATCH 1
-#include <immintrin.h>
-#endif
-
+#include "gemm/attention_detail.h"
 #include "numerics/bf16.h"
+#include "util/hot_clones.h"
 #include "util/logging.h"
 #include "util/parallel.h"
+
+#if CPULLM_ATTN_AVX512
+#include <immintrin.h>
+#endif
 
 namespace cpullm {
 namespace gemm {
@@ -167,9 +165,9 @@ constexpr float kExpP[] = {1.9875691500e-4f, 1.3981999507e-3f,
                            1.6666665459e-1f, 5.0000001201e-1f};
 
 /**
- * Portable body: plain loops over the 16 key lanes with independent
- * per-lane chains, which the compiler maps onto whatever vector unit
- * the build targets.
+ * Portable body: plain loops over 16 lanes (keys, or head-dim
+ * columns) with independent per-lane chains, which each ISA clone of
+ * attnTaskPortable maps onto its vector unit.
  */
 struct PortableTile
 {
@@ -181,15 +179,16 @@ struct PortableTile
             widenRow(k[j], t.hd, t.stage + j * t.hdPad);
             widenRow(v[j], t.hd, t.vt + j * t.hdPad);
         }
-        for (std::int64_t d = 0; d < t.hd; ++d)
-            for (std::int64_t j = 0; j < kTile; ++j)
-                t.kt[d * kTile + j] =
-                    j < n ? t.stage[j * t.hdPad + d] : 0.0f;
+        for (std::int64_t j = n; j < kTile; ++j)
+            std::fill_n(t.stage + j * t.hdPad, t.hd, 0.0f);
+        for (std::int64_t j = 0; j < kTile; ++j)
+            for (std::int64_t d = 0; d < t.hd; ++d)
+                t.kt[d * kTile + j] = t.stage[j * t.hdPad + d];
     }
 
-    /** out[l] = e^x[l] for the lanes in @p live, 0 elsewhere. */
+    /** out[l] = e^x[l] on every lane; 0 below kExpMin, NaN, -inf. */
     static void
-    expLanes(const float* x, std::int64_t live, float* out)
+    expLanes(const float* x, float* out)
     {
         for (std::int64_t l = 0; l < kTile; ++l) {
             // Clamped into [kExpMin, 0], NaN to kExpMin, so the int
@@ -208,7 +207,7 @@ struct PortableTile
                 static_cast<std::uint32_t>(static_cast<std::int32_t>(n) +
                                            127)
                 << 23);
-            out[l] = l < live && x[l] >= kExpMin ? p * pow2n : 0.0f;
+            out[l] = x[l] >= kExpMin ? p * pow2n : 0.0f;
         }
     }
 
@@ -220,17 +219,18 @@ struct PortableTile
         for (std::int64_t d = 0; d < t.hd; ++d)
             for (std::int64_t l = 0; l < kTile; ++l)
                 s[l] += q[d] * t.kt[d * kTile + l];
-        float tile_max = -std::numeric_limits<float>::infinity();
-        for (std::int64_t l = 0; l < live; ++l) {
-            s[l] *= t.scale;
+        for (std::int64_t l = 0; l < kTile; ++l)
+            s[l] = l < live ? s[l] * t.scale
+                            : -std::numeric_limits<float>::infinity();
+        float tile_max = s[0];
+        for (std::int64_t l = 1; l < kTile; ++l)
             tile_max = std::max(tile_max, s[l]);
-        }
         const float m_new = std::max(run_max, tile_max);
         const float alpha = std::exp(run_max - m_new);
         for (std::int64_t l = 0; l < kTile; ++l)
             s[l] -= m_new;
         float p[kTile];
-        expLanes(s, live, p);
+        expLanes(s, p);
         float lanes[kTile];
         std::copy(p, p + kTile, lanes);
         for (std::int64_t half = kTile / 2; half > 0; half /= 2)
@@ -238,15 +238,28 @@ struct PortableTile
                 lanes[l] += lanes[l + half];
         run_sum = run_sum * alpha + lanes[0];
         run_max = m_new;
-        for (std::int64_t i = 0; i < t.hd; ++i)
-            acc[i] *= alpha;
-        for (std::int64_t j = 0; j < live; ++j)
-            for (std::int64_t i = 0; i < t.hd; ++i)
-                acc[i] += p[j] * t.vt[j * t.hdPad + i];
+        // acc = alpha * acc + sum_j p_j V_j over the visible keys, 16
+        // head-dim columns at a time.
+        std::int64_t c = 0;
+        for (; c + kTile <= t.hd; c += kTile) {
+            float a[kTile];
+            for (std::int64_t l = 0; l < kTile; ++l)
+                a[l] = acc[c + l] * alpha;
+            for (std::int64_t j = 0; j < live; ++j)
+                for (std::int64_t l = 0; l < kTile; ++l)
+                    a[l] += p[j] * t.vt[j * t.hdPad + c + l];
+            std::copy(a, a + kTile, acc + c);
+        }
+        for (; c < t.hd; ++c) {
+            float a = acc[c] * alpha;
+            for (std::int64_t j = 0; j < live; ++j)
+                a += p[j] * t.vt[j * t.hdPad + c];
+            acc[c] = a;
+        }
     }
 };
 
-#if CPULLM_X86_DISPATCH
+#if CPULLM_ATTN_AVX512
 // GCC 12 warns inside the _mm512_reduce_* and mask intrinsics, whose
 // _mm512_undefined_*() operands are deliberately undefined inputs to
 // masked builtins (GCC PR105593); silence the false alarm.
@@ -387,7 +400,7 @@ struct Avx512Tile
     }
 };
 #pragma GCC diagnostic pop
-#endif // CPULLM_X86_DISPATCH
+#endif // CPULLM_ATTN_AVX512
 
 void
 checkArgs(const AttnShape& shape, std::int64_t m, std::int64_t pos0,
@@ -431,10 +444,14 @@ checkArgs(const AttnShape& shape, std::int64_t m, std::int64_t pos0,
  */
 template <class Body>
 void
-tiledTask(const AttnShape& shape, std::int64_t m, std::int64_t pos0,
-          const AttnSeqView& seq, std::int64_t kvh, float scale)
+tiledTask(const AttnShape& shape, const AttnRaggedSeq& rs,
+          std::int64_t kvh)
 {
+    const AttnSeqView& seq = rs.view;
+    const std::int64_t m = rs.m;
+    const std::int64_t pos0 = rs.pos0;
     const std::int64_t hd = shape.headDim;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
     const std::int64_t group = shape.heads / shape.kvHeads;
     const std::int64_t width = shape.heads * hd; // q/out row elements
     const std::int64_t span = pos0 + m;
@@ -495,23 +512,29 @@ tiledTask(const AttnShape& shape, std::int64_t m, std::int64_t pos0,
     }
 }
 
-using TaskFn = void (*)(const AttnShape&, std::int64_t, std::int64_t,
-                        const AttnSeqView&, std::int64_t, float);
+} // namespace
 
-/** The host's task body: AVX-512F where the CPU has it, else the
- *  portable one. Chosen once per process, so every call on a machine
- *  runs one arithmetic sequence. */
-TaskFn
-hostTask()
+namespace detail {
+
+// flatten inlines the body's helpers into each ISA clone, so their
+// 16-lane loops are vectorized for that clone's target.
+CPULLM_HOT_CLONES __attribute__((flatten)) void
+attnTaskPortable(const AttnShape& shape, const AttnRaggedSeq& seq,
+                 std::int64_t kvh)
 {
-#if CPULLM_X86_DISPATCH
-    if (__builtin_cpu_supports("avx512f"))
-        return &tiledTask<Avx512Tile>;
-#endif
-    return &tiledTask<PortableTile>;
+    tiledTask<PortableTile>(shape, seq, kvh);
 }
 
-} // namespace
+#if CPULLM_ATTN_AVX512
+void
+attnTaskAvx512(const AttnShape& shape, const AttnRaggedSeq& seq,
+               std::int64_t kvh)
+{
+    tiledTask<Avx512Tile>(shape, seq, kvh);
+}
+#endif
+
+} // namespace detail
 
 AttnStats
 attnStats()
@@ -542,8 +565,6 @@ attnFusedRagged(const AttnShape& shape, const AttnRaggedSeq* seqs,
     }
     if (n_seqs == 0)
         return;
-    const float scale =
-        1.0f / std::sqrt(static_cast<float>(shape.headDim));
     const std::size_t grid =
         n_seqs * static_cast<std::size_t>(shape.kvHeads);
 
@@ -558,7 +579,15 @@ attnFusedRagged(const AttnShape& shape, const AttnRaggedSeq* seqs,
                             static_cast<std::uint64_t>(shape.kvHeads),
                         std::memory_order_relaxed);
 
-    static const TaskFn task = hostTask();
+    // The host's body, chosen once per process, so every call on a
+    // machine runs one arithmetic sequence.
+    static const detail::AttnTaskFn task = [] {
+#if CPULLM_ATTN_AVX512
+        if (__builtin_cpu_supports("avx512f"))
+            return &detail::attnTaskAvx512;
+#endif
+        return &detail::attnTaskPortable;
+    }();
     parallelFor(
         0, grid,
         [&](std::size_t idx) {
@@ -566,8 +595,7 @@ attnFusedRagged(const AttnShape& shape, const AttnRaggedSeq* seqs,
                 idx / static_cast<std::size_t>(shape.kvHeads);
             const std::int64_t kvh = static_cast<std::int64_t>(
                 idx % static_cast<std::size_t>(shape.kvHeads));
-            const AttnRaggedSeq& rs = seqs[b];
-            task(shape, rs.m, rs.pos0, rs.view, kvh, scale);
+            task(shape, seqs[b], kvh);
         },
         1);
 }

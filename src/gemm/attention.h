@@ -25,10 +25,10 @@
  *    of V over the row's visible keys only. No scores array is
  *    materialized.
  *  - Two bodies run those steps: native AVX-512F intrinsics, and a
- *    portable lane-parallel fallback that the compiler vectorizes for
- *    the build's target. The choice is made once per process from
- *    CPUID, so every call on one machine runs one arithmetic
- *    sequence.
+ *    portable lane-parallel fallback compiled once per x86-64 ISA
+ *    level (util/hot_clones.h). The choice is made once per process
+ *    from CPUID, so every call on one machine runs one arithmetic
+ *    sequence. Tests run both bodies through gemm/attention_detail.h.
  *  - The grid fans out on util's persistent thread pool with
  *    per-thread scratch owned by the kernel, so a decode step costs
  *    no heap allocation.

@@ -17,6 +17,7 @@
 
 #include "gemm/pack.h"
 #include "isa/avx512.h"
+#include "util/hot_clones.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/string_util.h"
@@ -440,20 +441,11 @@ namespace {
  * The hot dot loops below are written lane-parallel (16 independent
  * accumulation chains, folded in a fixed pairwise tree) so the
  * compiler can map them onto whatever vector unit the host has, and
- * are cloned per ISA level with runtime ifunc dispatch where the
- * toolchain supports it. Every clone executes the same fixed
- * accumulation sequence on a given machine (dispatch is resolved
- * once per process), so thread-count invariance and the GEMV==GEMM
- * agreement are unaffected.
+ * are cloned per ISA level (CPULLM_HOT_CLONES). Every clone executes
+ * the same fixed accumulation sequence on a given machine (dispatch
+ * is resolved once per process), so thread-count invariance and the
+ * GEMV==GEMM agreement are unaffected.
  */
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define CPULLM_HOT_CLONES \
-    __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", \
-                                 "default")))
-#else
-#define CPULLM_HOT_CLONES
-#endif
-
 constexpr int kDotLanes = 16;
 
 /** Fixed pairwise-tree fold of the lane accumulators. */

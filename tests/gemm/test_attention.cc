@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "gemm/attention_detail.h"
 #include "numerics/bf16.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -49,6 +50,39 @@ runFused(const std::vector<Problem*>& ps)
     for (Problem* p : ps)
         slots.push_back({p->view(), p->pos0, p->m});
     attnFusedRagged(ps.front()->shape, slots.data(), slots.size());
+}
+
+/** A way to run one slot: the public entry point, or one task body. */
+struct Body
+{
+    const char* name;
+    detail::AttnTaskFn task; ///< nullptr: attnFusedRagged
+};
+
+/** attnFusedRagged and every task body this host can run, so both
+ *  bodies stay checked whichever one the host dispatches to. */
+std::vector<Body>
+hostBodies()
+{
+    std::vector<Body> bodies{{"attnFusedRagged", nullptr},
+                             {"portable", &detail::attnTaskPortable}};
+#if CPULLM_ATTN_AVX512
+    if (__builtin_cpu_supports("avx512f"))
+        bodies.push_back({"avx512", &detail::attnTaskAvx512});
+#endif
+    return bodies;
+}
+
+void
+runSlot(const Body& body, const AttnShape& shape,
+        const AttnRaggedSeq& slot)
+{
+    if (body.task == nullptr) {
+        attnFusedRagged(shape, &slot, 1);
+        return;
+    }
+    for (std::int64_t kvh = 0; kvh < shape.kvHeads; ++kvh)
+        body.task(shape, slot, kvh);
 }
 
 /** O(1)-scaled inputs, the regime kAttnTolerance is documented for. */
@@ -142,18 +176,23 @@ class FusedAttention : public ::testing::TestWithParam<Case>
 void
 expectMatchesReference(const Case& c)
 {
-    Problem fused = makeProblem(c.shape, c.m, c.pos0, c.dtype,
-                                c.chunkRows);
     Problem ref = makeProblem(c.shape, c.m, c.pos0, c.dtype, c.chunkRows);
-    for (Problem* p : {&fused, &ref})
-        for (float& x : p->q)
-            x *= c.qGain;
+    for (float& x : ref.q)
+        x *= c.qGain;
     AttnSeqView rv = ref.view();
-    runFused({&fused});
     attnRef(c.shape, c.m, c.pos0, &rv, 1);
-    EXPECT_LE(maxAbsDiff(fused.out, ref.out), kAttnTolerance);
-    for (std::size_t i = 0; i < fused.out.size(); ++i)
-        ASSERT_TRUE(std::isfinite(fused.out[i])) << "element " << i;
+    for (const Body& body : hostBodies()) {
+        Problem fused = makeProblem(c.shape, c.m, c.pos0, c.dtype,
+                                    c.chunkRows);
+        for (float& x : fused.q)
+            x *= c.qGain;
+        runSlot(body, c.shape, {fused.view(), c.pos0, c.m});
+        EXPECT_LE(maxAbsDiff(fused.out, ref.out), kAttnTolerance)
+            << body.name;
+        for (std::size_t i = 0; i < fused.out.size(); ++i)
+            ASSERT_TRUE(std::isfinite(fused.out[i]))
+                << body.name << ", element " << i;
+    }
 }
 
 TEST_P(FusedAttention, MatchesReferenceWithinTolerance)
@@ -250,57 +289,41 @@ TEST(FusedAttention, PagedChunkingIsBitwiseIrrelevant)
 
 TEST(FusedAttention, DecodeEqualsPrefillLastRow)
 {
-    // The causal mask inside a prefill span must make its last query
-    // row identical to a decode step at the same position.
-    const AttnShape shape{4, 2, 16};
-    const std::int64_t m = 6;
-    Problem pre = makeProblem(shape, m, 0, DType::F32);
-    Problem dec = makeProblem(shape, m, 0, DType::F32);
-    runFused({&pre});
-
-    // Decode slot: the last query row only, span m - 1 + 1 rows.
-    const std::int64_t width = shape.heads * shape.headDim;
-    AttnRaggedSeq ds{dec.view(), m - 1, 1};
-    ds.view.q = dec.q.data() + (m - 1) * width;
-    ds.view.out = dec.out.data() + (m - 1) * width;
-    attnFusedRagged(shape, &ds, 1);
-    for (std::int64_t i = 0; i < width; ++i)
-        EXPECT_EQ(pre.out[static_cast<std::size_t>((m - 1) * width +
-                                                   i)],
-                  dec.out[static_cast<std::size_t>((m - 1) * width +
-                                                   i)]);
-}
-
-TEST(FusedAttention, EveryPrefillRowEqualsDecodeAtItsPosition)
-{
-    // Preemption re-prefills a prompt plus its generated tokens as one
-    // span, and shared-prefix blocks come from another request's
-    // prefill, so every prefill row must equal, bitwise, an m == 1
-    // decode at its position. The query rows, at positions 9..48,
-    // cross the tile starts 16, 32 and 48, and neither end of the
-    // span is tile-aligned.
+    // The causal mask inside a prefill span must make each query row,
+    // the last one included, identical to a decode step at the same
+    // position. Preemption re-prefills a prompt plus its generated
+    // tokens as one span, and shared-prefix blocks come from another
+    // request's prefill, so every row must match bitwise. The rows,
+    // at positions 9..48, cross the tile starts 16, 32 and 48, and
+    // neither end of the span is tile-aligned.
     const AttnShape shape{12, 4, 64};
     const std::int64_t pos0 = 9, m = 40;
     const std::int64_t width = shape.heads * shape.headDim;
-    std::vector<float> whole;
-    for (const std::int64_t chunk : {0, 16, 5}) {
-        Problem pre = makeProblem(shape, m, pos0, DType::BF16, chunk);
-        Problem dec = makeProblem(shape, m, pos0, DType::BF16, chunk);
-        runFused({&pre});
-        if (chunk == 0)
-            whole = pre.out;
-        EXPECT_EQ(pre.out, whole) << "chunk " << chunk;
-        for (std::int64_t i = 0; i < m; ++i) {
-            AttnRaggedSeq ds{dec.view(), pos0 + i, 1};
-            ds.view.q = dec.q.data() + i * width;
-            ds.view.out = dec.out.data() + i * width;
-            attnFusedRagged(shape, &ds, 1);
+    for (const Body& body : hostBodies()) {
+        for (const DType dtype : {DType::F32, DType::BF16}) {
+            std::vector<float> whole;
+            for (const std::int64_t chunk : {0, 16, 5}) {
+                Problem pre = makeProblem(shape, m, pos0, dtype, chunk);
+                Problem dec = makeProblem(shape, m, pos0, dtype, chunk);
+                runSlot(body, shape, {pre.view(), pos0, m});
+                if (chunk == 0)
+                    whole = pre.out;
+                EXPECT_EQ(pre.out, whole)
+                    << body.name << ", chunk " << chunk;
+                for (std::int64_t i = 0; i < m; ++i) {
+                    AttnRaggedSeq ds{dec.view(), pos0 + i, 1};
+                    ds.view.q = dec.q.data() + i * width;
+                    ds.view.out = dec.out.data() + i * width;
+                    runSlot(body, shape, ds);
+                }
+                ASSERT_EQ(pre.out.size(), dec.out.size());
+                for (std::size_t e = 0; e < pre.out.size(); ++e)
+                    ASSERT_EQ(pre.out[e], dec.out[e])
+                        << body.name << ", " << dtypeName(dtype)
+                        << ", chunk " << chunk << ", row "
+                        << static_cast<std::int64_t>(e) / width;
+            }
         }
-        ASSERT_EQ(pre.out.size(), dec.out.size());
-        for (std::size_t e = 0; e < pre.out.size(); ++e)
-            ASSERT_EQ(pre.out[e], dec.out[e])
-                << "chunk " << chunk << ", row "
-                << static_cast<std::int64_t>(e) / width;
     }
 }
 
