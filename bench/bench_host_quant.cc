@@ -4,6 +4,9 @@
  * group-wise INT8/INT4 dequant kernels against the packed BF16
  * functional path on the paper's decode (m=1) GEMV shapes, plus the
  * quantized formats' byte footprints and dequantization accuracy.
+ * The same kernels also run at m=64 (prefill and batched decode,
+ * where a register tile reuses each decoded weight block across
+ * rows); those series are GFLOP/s only, with no BF16 ratio.
  *
  * This measures *host* execution speed of the emulator — decode is
  * bandwidth-bound, so fewer weight bytes per token must show up as
@@ -250,6 +253,9 @@ main(int argc, char** argv)
     std::vector<double> i4_reductions;
 
     Rng rng(42);
+    // The m=64 activations draw from their own stream, so the m=1
+    // series see the same inputs as before those series existed.
+    Rng rng_m64(64);
     for (const ShapeDef& s : shapes) {
         const std::int64_t k = s.k, n = s.n;
         const Tensor bf = Tensor::randomUniform({k, n}, DType::F32,
@@ -264,6 +270,10 @@ main(int argc, char** argv)
                                                 rng, -1.0f, 1.0f);
         const Tensor ab = af.cast(DType::BF16);
         std::vector<float> c(static_cast<std::size_t>(n));
+        constexpr std::int64_t kRows = 64;
+        const Tensor a64 = Tensor::randomUniform(
+            {kRows, k}, DType::F32, rng_m64, -1.0f, 1.0f);
+        std::vector<float> c64(static_cast<std::size_t>(kRows * n));
 
         // Packed BF16 m=1 reference: the AMX tile path the engine
         // defaults to on SPR.
@@ -277,6 +287,14 @@ main(int argc, char** argv)
         });
         const double i4g_s = timeLoop(min_s, [&] {
             gemm::gemvI4gFused(af.data<float>(), i4g, c.data());
+        });
+        const double i8g_m64_s = timeLoop(min_s, [&] {
+            gemm::gemmAvx512I8gPacked(a64.data<float>(), i8g,
+                                      c64.data(), kRows);
+        });
+        const double i4g_m64_s = timeLoop(min_s, [&] {
+            gemm::gemmAvx512I4gPacked(a64.data<float>(), i4g,
+                                      c64.data(), kRows);
         });
 
         const double bf16_bytes = static_cast<double>(
@@ -301,6 +319,10 @@ main(int argc, char** argv)
             gflops(1, n, k, i8g_s);
         full.metrics["gflops/i4g_gemv_m1_" + label] =
             gflops(1, n, k, i4g_s);
+        full.metrics["gflops/i8g_m64_" + label] =
+            gflops(kRows, n, k, i8g_m64_s);
+        full.metrics["gflops/i4g_m64_" + label] =
+            gflops(kRows, n, k, i4g_m64_s);
         i8_speedups.push_back(bf16_s / i8g_s);
         i4_speedups.push_back(bf16_s / i4g_s);
         i4_reductions.push_back(1.0 / r4);

@@ -7,11 +7,10 @@
 #include <cstring>
 #include <mutex>
 
-// The INT4 fast path uses AVX-512F intrinsics inside a
-// target("avx512f") function, which GCC/Clang permit without any
-// -march flag; runtime dispatch below keeps the binary portable.
-#if defined(__x86_64__) && defined(__GNUC__)
-#define CPULLM_X86_DISPATCH 1
+#include "gemm/quant_detail.h"
+
+// Runtime dispatch below keeps the binary portable.
+#if CPULLM_QUANT_AVX512
 #include <immintrin.h>
 #endif
 
@@ -438,13 +437,16 @@ PackedWeightsI4G::PackedWeightsI4G(const float* b, std::int64_t k,
 namespace {
 
 /**
- * The hot dot loops below are written lane-parallel (16 independent
- * accumulation chains, folded in a fixed pairwise tree) so the
- * compiler can map them onto whatever vector unit the host has, and
- * are cloned per ISA level (CPULLM_HOT_CLONES). Every clone executes
- * the same fixed accumulation sequence on a given machine (dispatch
- * is resolved once per process), so thread-count invariance and the
- * GEMV==GEMM agreement are unaffected.
+ * Every grouped-quant body computes each output (row, column) with its
+ * own 16 lane accumulators and one fixed accumulation sequence, folded
+ * once at the end in a fixed pairwise tree. No output depends on which
+ * other rows or columns share its call, task or thread, so any row of
+ * any m equals the m = 1 call on that row, for any thread count (the
+ * contract ContinuousBatcher and preemption rely on). The portable
+ * loops are written lane-parallel so the compiler can map them onto
+ * whatever vector unit the host has, and are cloned per ISA level
+ * (CPULLM_HOT_CLONES); the body is chosen once per process, so a
+ * machine runs one arithmetic sequence.
  */
 constexpr int kDotLanes = 16;
 
@@ -467,7 +469,7 @@ foldLanes(float* lanes)
  * applies lane-wise into a column-level accumulator (one more FMA
  * per group), so the lane fold happens exactly once per column. The
  * whole column is computed by one caller with one deterministic
- * accumulation sequence — that is what makes the GEMM/GEMV paths and
+ * accumulation sequence — that is what makes every row of any m and
  * every thread count bitwise agree.
  */
 CPULLM_HOT_CLONES float
@@ -499,74 +501,10 @@ dotColI8gPortable(const float* arow, const PackedWeightsI8G& b,
     return foldLanes(accl) + acc_tail;
 }
 
-#if CPULLM_X86_DISPATCH
-// GCC's _mm512_undefined_*() helpers (inside the convert intrinsics)
-// trip -Wmaybe-uninitialized when AVX-512 is enabled per-function
-// instead of globally (GCC PR105593); the values are intentionally
-// undefined inputs to masked builtins, so silence the false alarm.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-/**
- * AVX-512F INT8 dot: one 16-byte code load, one VPMOVSXBD widen, one
- * convert and one FMA per 16 elements; the group scale applies as a
- * vector FMA into the column accumulator and the pairwise fold runs
- * once per column, mirroring the portable path's fixed accumulation
- * structure (dispatch is resolved once per process, so a given
- * machine always sees one deterministic sequence).
- */
-__attribute__((target("avx512f"))) float
-dotColI8gAvx512(const float* arow, const PackedWeightsI8G& b,
-                std::int64_t j)
-{
-    const std::int64_t k = b.k();
-    const std::int64_t group = b.group();
-    const std::int8_t* codes = b.row(j);
-    const float* scales = b.scaleRow(j);
-    __m512 acc = _mm512_setzero_ps();
-    float acc_tail = 0.0f;
-    for (std::int64_t g = 0; g < b.groups(); ++g) {
-        const std::int64_t k0 = g * group;
-        const std::int64_t kend = std::min(k, k0 + group);
-        __m512 lanes = _mm512_setzero_ps();
-        std::int64_t kk = k0;
-        for (; kk + kDotLanes <= kend; kk += kDotLanes) {
-            const __m128i c16 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(codes + kk));
-            const __m512 w =
-                _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(c16));
-            lanes = _mm512_fmadd_ps(_mm512_loadu_ps(arow + kk), w,
-                                    lanes);
-        }
-        float t = 0.0f;
-        for (; kk < kend; ++kk)
-            t += arow[kk] * static_cast<float>(codes[kk]);
-        acc = _mm512_fmadd_ps(_mm512_set1_ps(scales[g]), lanes, acc);
-        acc_tail += scales[g] * t;
-    }
-    alignas(64) float accl[kDotLanes];
-    _mm512_store_ps(accl, acc);
-    return foldLanes(accl) + acc_tail;
-}
-#pragma GCC diagnostic pop
-#endif // CPULLM_X86_DISPATCH
-
-/** One-time runtime dispatch between the INT8 dot implementations
- *  (resolved once per process — see dotColI4g). */
-inline float
-dotColI8g(const float* arow, const PackedWeightsI8G& b, std::int64_t j)
-{
-#if CPULLM_X86_DISPATCH
-    static const bool use_avx512 = __builtin_cpu_supports("avx512f");
-    if (use_avx512)
-        return dotColI8gAvx512(arow, b, j);
-#endif
-    return dotColI8gPortable(arow, b, j);
-}
-
 /**
  * Per-group sums of the activation row (asums[g] = sum of arow over
  * group g's K range). These are column-independent, so the callers
- * compute them once per activation row and every dotColI4g call
+ * compute them once per activation row and every INT4 body
  * reuses them to fold the nibble bias / affine offset analytically —
  * the per-column work never touches a second reduction pass.
  */
@@ -594,7 +532,7 @@ groupActSums(const float* arow, std::int64_t k, std::int64_t group,
 constexpr std::int64_t kDotChunk = 256;
 
 /**
- * Portable INT4 counterpart of dotColI8g: each chunk of the group
+ * Portable INT4 counterpart of dotColI8gPortable: each chunk of the group
  * first splits the planar 16-element nibble blocks into an
  * unsigned-code stack buffer — one 64-bit load plus two mask/shift
  * ops per block — then runs the INT8 path's lane-parallel widen+FMA
@@ -604,7 +542,7 @@ constexpr std::int64_t kDotChunk = 256;
  * sum(a), and sum(a * (s*u + o)) = s * sum(a*u) + o * sum(a), so the
  * per-column work is one decode+dot pass with a single lane fold at
  * the end. Deterministic fixed accumulation order, same bitwise
- * contract as dotColI8g.
+ * contract as dotColI8gPortable.
  */
 CPULLM_HOT_CLONES float
 dotColI4gPortable(const float* arow, const PackedWeightsI4G& b,
@@ -673,116 +611,378 @@ dotColI4gPortable(const float* arow, const PackedWeightsI4G& b,
     return foldLanes(accl) + acc_tail;
 }
 
-#if CPULLM_X86_DISPATCH
-// Same GCC PR105593 false alarm as the INT8 block above.
+#if CPULLM_QUANT_AVX512
+// GCC's _mm512_undefined_*() helpers (inside the convert intrinsics)
+// trip -Wmaybe-uninitialized when AVX-512 is enabled per-function
+// instead of globally (GCC PR105593); the values are intentionally
+// undefined inputs to masked builtins, so silence the false alarm.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+#define CPULLM_AVX512_INLINE \
+    __attribute__((target("avx512f"), always_inline)) inline
+
 /**
- * AVX-512F INT4 dot: the planar block layout decodes in-register —
- * one 8-byte load, two mask/shift ops to split the nibbles (low
- * nibbles are block elements 0-7, high nibbles elements 8-15), one
- * VPMOVZXBD widen, one convert and one FMA per 16 elements, so the
- * inner loop costs the same as the INT8 path while streaming half
- * the bytes. Same analytic bias/offset folding against @p asums and
- * the same fixed pairwise fold as the portable path (values may
- * differ from it in the last bit, but dispatch is resolved once per
- * process, so every caller on a given machine sees one deterministic
- * accumulation sequence).
+ * Grouped-INT8 columns for tileAvx512: a 16-weight block is one
+ * 16-byte load widened by VPMOVSXBD and converted to float.
  */
-__attribute__((target("avx512f"))) float
-dotColI4gAvx512(const float* arow, const PackedWeightsI4G& b,
-                std::int64_t j, const float* asums)
+struct I8gCols
 {
-    const std::int64_t k = b.k();
-    const std::int64_t group = b.group();
-    const std::uint8_t* bytes_row = b.row(j);
-    const float* scales = b.scaleRow(j);
-    const bool affine = b.withOffset();
-    const float* offsets = affine ? b.offsetRow(j) : nullptr;
-    const __m128i lo_mask = _mm_set1_epi8(0x0f);
-    __m512 acc = _mm512_setzero_ps();
-    float acc_tail = 0.0f;
-    for (std::int64_t g = 0; g < b.groups(); ++g) {
+    const PackedWeightsI8G& b;
+
+    struct Col
+    {
+        const std::int8_t* codes;
+        const float* scales;
+    };
+
+    Col col(std::int64_t j) const { return {b.row(j), b.scaleRow(j)}; }
+
+    CPULLM_AVX512_INLINE static __m512
+    block(const Col& col, std::int64_t kk)
+    {
+        const __m128i c16 = _mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(col.codes + kk));
+        return _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(c16));
+    }
+
+    /** Weight @p kk of a ragged final block, as a float. */
+    CPULLM_AVX512_INLINE static float
+    code(const Col& col, std::int64_t kk)
+    {
+        return static_cast<float>(col.codes[kk]);
+    }
+
+    /** Fold group @p g's scalar tail into activation row @p row's
+     *  column total. */
+    CPULLM_AVX512_INLINE void
+    foldTail(const Col& col, std::int64_t g, std::int64_t /*row*/,
+             float gtail, float& acc_tail) const
+    {
+        acc_tail = std::fma(col.scales[g], gtail, acc_tail);
+    }
+};
+
+/**
+ * Grouped-INT4 columns: a block is one 8-byte load whose low nibbles
+ * are block elements 0-7 and high nibbles 8-15, split by two
+ * mask/shift ops and widened by VPMOVZXBD. The nibble bias and the
+ * affine offset fold per group against the activation sums @p asums
+ * (groupActSums): sum(a * s*(u-8)) = s * sum(a*u) - 8*s * sum(a), and
+ * sum(a * (s*u + o)) = s * sum(a*u) + o * sum(a).
+ */
+struct I4gCols
+{
+    const PackedWeightsI4G& b;
+    const float* asums; ///< b.groups() per activation row
+
+    struct Col
+    {
+        const std::uint8_t* bytes;
+        const float* scales;
+        const float* offsets; ///< nullptr when symmetric
+    };
+
+    Col col(std::int64_t j) const
+    {
+        return {b.row(j), b.scaleRow(j),
+                b.withOffset() ? b.offsetRow(j) : nullptr};
+    }
+
+    CPULLM_AVX512_INLINE static __m512
+    block(const Col& col, std::int64_t kk)
+    {
+        std::uint64_t v;
+        std::memcpy(&v, col.bytes + kk / 2, sizeof v);
+        const __m128i lo_mask = _mm_set1_epi8(0x0f);
+        const __m128i bytes =
+            _mm_set_epi64x(0, static_cast<long long>(v));
+        const __m128i lo = _mm_and_si128(bytes, lo_mask);
+        const __m128i hi =
+            _mm_and_si128(_mm_srli_epi16(bytes, 4), lo_mask);
+        return _mm512_cvtepi32_ps(
+            _mm512_cvtepu8_epi32(_mm_unpacklo_epi64(lo, hi)));
+    }
+
+    /** Weight @p kk of a ragged final block: same planar indexing as
+     *  PackedWeightsI4G::code(). */
+    CPULLM_AVX512_INLINE static float
+    code(const Col& col, std::int64_t kk)
+    {
+        const std::int64_t r = kk & 15;
+        const std::uint8_t byte = col.bytes[(kk >> 4) * 8 + (r & 7)];
+        return static_cast<float>(r < 8 ? (byte & 0xf) : (byte >> 4));
+    }
+
+    CPULLM_AVX512_INLINE void
+    foldTail(const Col& col, std::int64_t g, std::int64_t row,
+             float gtail, float& acc_tail) const
+    {
+        // Symmetric: w = s*(u-8); affine: w = s*u + o.
+        const float off = col.offsets != nullptr ? col.offsets[g]
+                                                 : -8.0f * col.scales[g];
+        acc_tail += std::fma(col.scales[g], gtail,
+                             off * asums[row * b.groups() + g]);
+    }
+};
+
+/**
+ * One R x C register tile: activation rows [r0, r0 + R) against
+ * output columns [j0, j0 + C). Each column's 16-weight block is
+ * decoded into a register once per k step and FMAed into all R rows'
+ * accumulators. Every (row, column) keeps its own lanes/acc registers
+ * and runs the op sequence of a lone dot product: per group, 16-lane
+ * FMAs over the full blocks in k order, acc = fma(scale, lanes, acc)
+ * and the scalar tail; after the last group one foldLanes. So no
+ * output depends on R, C or which rows and columns share the tile.
+ * The scalar tail spells out its fmas, the ones GCC's default
+ * contraction makes of a lone dot's `t += a * u` and
+ * `acc_tail += s * t + off * asum`. Written as plain expressions
+ * across the unrolled tile, GCC 12 fused some rows and not others,
+ * which moved their outputs by a last bit at ragged K.
+ */
+template <int R, int C, class Cols>
+CPULLM_AVX512_INLINE void
+tileAvx512(const Cols& cols, const float* a, std::int64_t r0,
+           std::int64_t j0, float* c)
+{
+    const std::int64_t k = cols.b.k();
+    const std::int64_t group = cols.b.group();
+    typename Cols::Col col[C];
+    __m512 acc[R][C];
+    float acc_tail[R][C];
+#pragma GCC unroll 16
+    for (int cc = 0; cc < C; ++cc)
+        col[cc] = cols.col(j0 + cc);
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r)
+#pragma GCC unroll 16
+        for (int cc = 0; cc < C; ++cc) {
+            acc[r][cc] = _mm512_setzero_ps();
+            acc_tail[r][cc] = 0.0f;
+        }
+    for (std::int64_t g = 0; g < cols.b.groups(); ++g) {
         // Group starts are block-aligned: group is a multiple of 16.
         const std::int64_t k0 = g * group;
         const std::int64_t kend = std::min(k, k0 + group);
-        const std::int64_t len = kend - k0;
-        const std::int64_t blocks = len / 16;
-        const std::uint8_t* bp = bytes_row + (k0 / 16) * 8;
-        const float* a0 = arow + k0;
-        __m512 lanes = _mm512_setzero_ps();
-        for (std::int64_t t = 0; t < blocks; ++t) {
-            std::uint64_t v;
-            std::memcpy(&v, bp + t * 8, sizeof v);
-            const __m128i bytes =
-                _mm_set_epi64x(0, static_cast<long long>(v));
-            const __m128i lo = _mm_and_si128(bytes, lo_mask);
-            const __m128i hi = _mm_and_si128(
-                _mm_srli_epi16(bytes, 4), lo_mask);
-            const __m512 w = _mm512_cvtepi32_ps(
-                _mm512_cvtepu8_epi32(_mm_unpacklo_epi64(lo, hi)));
-            lanes = _mm512_fmadd_ps(_mm512_loadu_ps(a0 + t * 16), w,
-                                    lanes);
+        const std::int64_t kfull =
+            k0 + (kend - k0) / kDotLanes * kDotLanes;
+        __m512 lanes[R][C];
+#pragma GCC unroll 16
+        for (int r = 0; r < R; ++r)
+#pragma GCC unroll 16
+            for (int cc = 0; cc < C; ++cc)
+                lanes[r][cc] = _mm512_setzero_ps();
+        for (std::int64_t kk = k0; kk < kfull; kk += kDotLanes) {
+            __m512 w[C];
+#pragma GCC unroll 16
+            for (int cc = 0; cc < C; ++cc)
+                w[cc] = Cols::block(col[cc], kk);
+#pragma GCC unroll 16
+            for (int r = 0; r < R; ++r) {
+                const __m512 x =
+                    _mm512_loadu_ps(a + (r0 + r) * k + kk);
+#pragma GCC unroll 16
+                for (int cc = 0; cc < C; ++cc)
+                    lanes[r][cc] =
+                        _mm512_fmadd_ps(x, w[cc], lanes[r][cc]);
+            }
         }
-        float gtail = 0.0f;
-        for (std::int64_t t = blocks * 16; t < len; ++t) {
-            // Ragged final block: same planar indexing as code().
-            const std::int64_t r = t & 15;
-            const std::uint8_t byte = bp[(t >> 4) * 8 + (r & 7)];
-            gtail += a0[t] * static_cast<float>(
-                                 r < 8 ? (byte & 0xf) : (byte >> 4));
-        }
-        // Symmetric: w = s*(u-8); affine: w = s*u + o.
-        const float off = affine ? offsets[g] : -8.0f * scales[g];
-        acc = _mm512_fmadd_ps(_mm512_set1_ps(scales[g]), lanes, acc);
-        acc_tail += scales[g] * gtail + off * asums[g];
+        float gtail[R][C] = {};
+        for (std::int64_t kk = kfull; kk < kend; ++kk)
+            for (int cc = 0; cc < C; ++cc) {
+                const float u = Cols::code(col[cc], kk);
+                for (int r = 0; r < R; ++r)
+                    gtail[r][cc] = std::fma(a[(r0 + r) * k + kk], u,
+                                            gtail[r][cc]);
+            }
+#pragma GCC unroll 16
+        for (int r = 0; r < R; ++r)
+#pragma GCC unroll 16
+            for (int cc = 0; cc < C; ++cc) {
+                acc[r][cc] =
+                    _mm512_fmadd_ps(_mm512_set1_ps(col[cc].scales[g]),
+                                    lanes[r][cc], acc[r][cc]);
+                cols.foldTail(col[cc], g, r0 + r, gtail[r][cc],
+                              acc_tail[r][cc]);
+            }
     }
-    alignas(64) float accl[kDotLanes];
-    _mm512_store_ps(accl, acc);
-    return foldLanes(accl) + acc_tail;
+    const std::int64_t n = cols.b.n();
+    for (int r = 0; r < R; ++r)
+        for (int cc = 0; cc < C; ++cc) {
+            alignas(64) float accl[kDotLanes];
+            _mm512_store_ps(accl, acc[r][cc]);
+            c[(r0 + r) * n + j0 + cc] =
+                foldLanes(accl) + acc_tail[r][cc];
+        }
 }
-#pragma GCC diagnostic pop
-#endif // CPULLM_X86_DISPATCH
 
-/** One-time runtime dispatch between the INT4 dot implementations
- *  (resolved once per process, so the per-machine accumulation
- *  sequence is fixed — the thread-invariance contract holds). */
-inline float
-dotColI4g(const float* arow, const PackedWeightsI4G& b, std::int64_t j,
-          const float* asums)
+/** Rows [r0, r0 + R) of a task: columns [j0, j1) in C-wide tiles,
+ *  then the leftover columns one at a time. */
+template <int R, int C, class Cols>
+CPULLM_AVX512_INLINE void
+rowSliceAvx512(const Cols& cols, const float* a, std::int64_t r0,
+               std::int64_t j0, std::int64_t j1, float* c)
 {
-#if CPULLM_X86_DISPATCH
-    static const bool use_avx512 = __builtin_cpu_supports("avx512f");
-    if (use_avx512)
-        return dotColI4gAvx512(arow, b, j, asums);
+    std::int64_t j = j0;
+    for (; j + C <= j1; j += C)
+        tileAvx512<R, C>(cols, a, r0, j, c);
+    for (; j < j1; ++j)
+        tileAvx512<R, 1>(cols, a, r0, j, c);
+}
+
+/**
+ * One task of the AVX-512F bodies. Full kTileRows-row slices
+ * (prefill, batched decode) let each decoded block feed kTileRows
+ * rows while the slice's activations stay in L1 across the task's
+ * columns. A lone row (m = 1 decode, or rows left over) takes a
+ * 1 x kGemvCols tile: one activation load feeds kGemvCols independent
+ * FMA chains.
+ */
+template <class Cols>
+CPULLM_AVX512_INLINE void
+taskAvx512(const Cols& cols, const float* a, std::int64_t m,
+           std::int64_t j0, std::int64_t j1, float* c)
+{
+    using detail::kGemvCols;
+    using detail::kTileCols;
+    using detail::kTileRows;
+    std::int64_t r = 0;
+    for (; r + kTileRows <= m; r += kTileRows)
+        rowSliceAvx512<kTileRows, kTileCols>(cols, a, r, j0, j1, c);
+    for (; r < m; ++r)
+        rowSliceAvx512<1, kGemvCols>(cols, a, r, j0, j1, c);
+}
+
+#undef CPULLM_AVX512_INLINE
+#pragma GCC diagnostic pop
+#endif // CPULLM_QUANT_AVX512
+
+/**
+ * Run body(j0, j1) over fixed 16-column tasks on the pool: every
+ * output element is computed whole inside one task, so any thread
+ * count or backend produces the same bits. At m = 1 a pool chunk
+ * takes 4 tasks (64 columns), which amortizes dispatch over the short
+ * GEMV tasks.
+ */
+template <class Fn>
+void
+forEachColumnTask(std::int64_t n, std::int64_t m, const Fn& body)
+{
+    const std::int64_t n_chunks = (n + kTileN - 1) / kTileN;
+    parallelFor(
+        0, static_cast<std::size_t>(n_chunks),
+        [&](std::size_t cb) {
+            const std::int64_t j0 =
+                static_cast<std::int64_t>(cb) * kTileN;
+            body(j0, std::min<std::int64_t>(n, j0 + kTileN));
+        },
+        m == 1 ? 4 : 1);
+}
+
+/** The host's bodies, chosen once per process, so every call on a
+ *  machine runs one arithmetic sequence. */
+detail::I8gTaskFn
+hostI8gTask()
+{
+    static const detail::I8gTaskFn task = [] {
+#if CPULLM_QUANT_AVX512
+        if (__builtin_cpu_supports("avx512f"))
+            return &detail::i8gTaskAvx512;
 #endif
-    return dotColI4gPortable(arow, b, j, asums);
+        return &detail::i8gTaskPortable;
+    }();
+    return task;
+}
+
+detail::I4gTaskFn
+hostI4gTask()
+{
+    static const detail::I4gTaskFn task = [] {
+#if CPULLM_QUANT_AVX512
+        if (__builtin_cpu_supports("avx512f"))
+            return &detail::i4gTaskAvx512;
+#endif
+        return &detail::i4gTaskPortable;
+    }();
+    return task;
 }
 
 } // namespace
+
+namespace detail {
+
+void
+i8gTaskPortable(const float* a, std::int64_t m,
+                const PackedWeightsI8G& b, std::int64_t j0,
+                std::int64_t j1, float* c)
+{
+    for (std::int64_t j = j0; j < j1; ++j)
+        for (std::int64_t mi = 0; mi < m; ++mi)
+            c[mi * b.n() + j] = dotColI8gPortable(a + mi * b.k(), b, j);
+}
+
+void
+i4gTaskPortable(const float* a, std::int64_t m,
+                const PackedWeightsI4G& b, const float* asums,
+                std::int64_t j0, std::int64_t j1, float* c)
+{
+    for (std::int64_t j = j0; j < j1; ++j)
+        for (std::int64_t mi = 0; mi < m; ++mi)
+            c[mi * b.n() + j] = dotColI4gPortable(
+                a + mi * b.k(), b, j, asums + mi * b.groups());
+}
+
+#if CPULLM_QUANT_AVX512
+__attribute__((target("avx512f"))) void
+i8gTaskAvx512(const float* a, std::int64_t m, const PackedWeightsI8G& b,
+              std::int64_t j0, std::int64_t j1, float* c)
+{
+    taskAvx512(I8gCols{b}, a, m, j0, j1, c);
+}
+
+__attribute__((target("avx512f"))) void
+i4gTaskAvx512(const float* a, std::int64_t m, const PackedWeightsI4G& b,
+              const float* asums, std::int64_t j0, std::int64_t j1,
+              float* c)
+{
+    taskAvx512(I4gCols{b, asums}, a, m, j0, j1, c);
+}
+#endif
+
+void
+runI8g(I8gTaskFn task, const float* a, const PackedWeightsI8G& b,
+       float* c, std::int64_t m)
+{
+    forEachColumnTask(b.n(), m, [&](std::int64_t j0, std::int64_t j1) {
+        task(a, m, b, j0, j1, c);
+    });
+}
+
+void
+runI4g(I4gTaskFn task, const float* a, const PackedWeightsI4G& b,
+       float* c, std::int64_t m)
+{
+    // Per-row activation group sums, shared read-only by every task
+    // (they fold the nibble bias / affine offset analytically).
+    std::vector<float> asums(static_cast<std::size_t>(m * b.groups()));
+    for (std::int64_t mi = 0; mi < m; ++mi)
+        groupActSums(a + mi * b.k(), b.k(), b.group(), b.groups(),
+                     asums.data() + mi * b.groups());
+    forEachColumnTask(b.n(), m, [&](std::int64_t j0, std::int64_t j1) {
+        task(a, m, b, asums.data(), j0, j1, c);
+    });
+}
+
+} // namespace detail
 
 void
 gemmAvx512I8gPacked(const float* a, const PackedWeightsI8G& b,
                     float* c, std::int64_t m)
 {
     CPULLM_ASSERT(!b.empty(), "gemmAvx512I8gPacked on empty weights");
-    const std::int64_t n = b.n();
-    const std::int64_t k = b.k();
-    const std::int64_t n_chunks = (n + kTileN - 1) / kTileN;
     quantStatsOnCall(/*is_gemv=*/false, b.bytes());
-    // Fixed 16-column tasks: every output element is computed whole
-    // inside one task, so any thread count / backend produces the
-    // same bits.
-    parallelFor(0, static_cast<std::size_t>(n_chunks),
-                [&](std::size_t cb) {
-        const std::int64_t j0 =
-            static_cast<std::int64_t>(cb) * kTileN;
-        const std::int64_t j1 =
-            std::min<std::int64_t>(n, j0 + kTileN);
-        for (std::int64_t j = j0; j < j1; ++j)
-            for (std::int64_t mi = 0; mi < m; ++mi)
-                c[mi * n + j] = dotColI8g(a + mi * k, b, j);
-    });
+    detail::runI8g(hostI8gTask(), a, b, c, m);
 }
 
 void
@@ -790,53 +990,16 @@ gemmAvx512I4gPacked(const float* a, const PackedWeightsI4G& b,
                     float* c, std::int64_t m)
 {
     CPULLM_ASSERT(!b.empty(), "gemmAvx512I4gPacked on empty weights");
-    const std::int64_t n = b.n();
-    const std::int64_t k = b.k();
-    const std::int64_t n_chunks = (n + kTileN - 1) / kTileN;
     quantStatsOnCall(/*is_gemv=*/false, b.bytes());
-    // Per-row activation group sums, shared read-only by every task
-    // (they fold the nibble bias / affine offset analytically).
-    std::vector<float> asums(static_cast<std::size_t>(m * b.groups()));
-    for (std::int64_t mi = 0; mi < m; ++mi)
-        groupActSums(a + mi * k, k, b.group(), b.groups(),
-                     asums.data() + mi * b.groups());
-    parallelFor(0, static_cast<std::size_t>(n_chunks),
-                [&](std::size_t cb) {
-        const std::int64_t j0 =
-            static_cast<std::int64_t>(cb) * kTileN;
-        const std::int64_t j1 =
-            std::min<std::int64_t>(n, j0 + kTileN);
-        for (std::int64_t j = j0; j < j1; ++j)
-            for (std::int64_t mi = 0; mi < m; ++mi)
-                c[mi * n + j] =
-                    dotColI4g(a + mi * k, b, j,
-                              asums.data() + mi * b.groups());
-    });
+    detail::runI4g(hostI4gTask(), a, b, c, m);
 }
 
 void
 gemvI4gFused(const float* a, const PackedWeightsI4G& b, float* c)
 {
     CPULLM_ASSERT(!b.empty(), "gemvI4gFused on empty weights");
-    const std::int64_t n = b.n();
-    const std::int64_t n_chunks = (n + kTileN - 1) / kTileN;
     quantStatsOnCall(/*is_gemv=*/true, b.bytes());
-    std::vector<float> asums(static_cast<std::size_t>(b.groups()));
-    groupActSums(a, b.k(), b.group(), b.groups(), asums.data());
-    // Decode specialization: no M loop, each task streams a run of
-    // column rows linearly (grain 4 = 64 columns amortizes pool
-    // dispatch). Task boundaries stay the same 16-column chunks, so
-    // the output is bitwise identical to gemmAvx512I4gPacked(m=1)
-    // for any thread count (the fused-attention contract).
-    parallelFor(0, static_cast<std::size_t>(n_chunks),
-                [&](std::size_t cb) {
-        const std::int64_t j0 =
-            static_cast<std::int64_t>(cb) * kTileN;
-        const std::int64_t j1 =
-            std::min<std::int64_t>(n, j0 + kTileN);
-        for (std::int64_t j = j0; j < j1; ++j)
-            c[j] = dotColI4g(a, b, j, asums.data());
-    }, 4);
+    detail::runI4g(hostI4gTask(), a, b, c, 1);
 }
 
 PreparedB::PreparedB(Engine engine, const Tensor& b) : engine_(engine)
@@ -990,14 +1153,18 @@ matmul(Engine engine, const Tensor& a, const PreparedB& b)
     if (b.weightDtype() != WeightDtype::Native) {
         // Weight-only quantization: activations stay FP32 and the
         // fused-dequant kernels run on every engine; only the weight
-        // stream shrinks (the decode bandwidth lever).
-        const Tensor af = a.cast(DType::F32);
+        // stream shrinks (the decode bandwidth lever). The kernels
+        // only read the activations, so F32 ones are not copied.
+        Tensor af;
+        const float* ap = a.dtype() == DType::F32
+                              ? a.data<float>()
+                              : (af = a.cast(DType::F32)).data<float>();
         if (b.weightDtype() == WeightDtype::I8Grouped)
-            gemmAvx512I8gPacked(af.data<float>(), b.i8g(), cp, m);
+            gemmAvx512I8gPacked(ap, b.i8g(), cp, m);
         else if (m == 1)
-            gemvI4gFused(af.data<float>(), b.i4g(), cp);
+            gemvI4gFused(ap, b.i4g(), cp);
         else
-            gemmAvx512I4gPacked(af.data<float>(), b.i4g(), cp, m);
+            gemmAvx512I4gPacked(ap, b.i4g(), cp, m);
         return out;
     }
 

@@ -350,23 +350,33 @@ void gemmAvx512Bf16Packed(const BFloat16* a, const PackedWeightsVnni& b,
  * FP32-activation GEMM over group-quantized INT8 weights with
  * dequantization fused into the AVX-512 FMA inner loop (one scale
  * broadcast per group, 16 codes widened per step). Partitioned over
- * N in fixed 16-column tasks — every output element is computed
- * whole inside one task, so results are bitwise identical for any
- * thread count or backend (the fused-attention contract).
+ * N in fixed 16-column tasks. On AVX-512F each task walks its rows
+ * in R-row slices of R x C register tiles (R = 6, C = 2; the
+ * constants are in gemm/quant_detail.h): a column's 16-code block is
+ * decoded into a register once and FMAed into all R rows, and the
+ * slice's activations stay in L1 across the task's columns. A lone
+ * row (m = 1, or rows left over) walks 1 x 4 tiles: one activation
+ * load feeds 4 columns' FMA chains. Every (row, column) keeps its own
+ * accumulators
+ * and one fixed op sequence, so the row contract holds: any row of
+ * any m equals, bitwise, the m = 1 call on that row, for any thread
+ * count or backend (what ContinuousBatcher and preemption rely on).
  */
 void gemmAvx512I8gPacked(const float* a, const PackedWeightsI8G& b,
                          float* c, std::int64_t m);
 
-/** Same contract as gemmAvx512I8gPacked over nibble-packed INT4. */
+/** Same tiles and row contract as gemmAvx512I8gPacked over
+ *  nibble-packed INT4 (an 8-byte load and two mask/shift ops decode a
+ *  16-weight block). */
 void gemmAvx512I4gPacked(const float* a, const PackedWeightsI4G& b,
                          float* c, std::int64_t m);
 
 /**
- * m=1 decode fast path over INT4 weights: streams each output
- * column's nibble row and group scales once, no tile transpose and
- * no M loop, thread-pool partitioned over N with larger grain.
- * Bitwise identical to gemmAvx512I4gPacked at m == 1 (shared
- * per-column dot routine).
+ * m=1 decode entry over INT4 weights: the 1 x 4 column tile over
+ * each task's columns, four tasks (64 columns) per pool chunk. It
+ * counts as a GEMV in QuantStats; its output is bitwise
+ * gemmAvx512I4gPacked at m == 1 and, by the row contract, each row of
+ * any m-row call.
  */
 void gemvI4gFused(const float* a, const PackedWeightsI4G& b, float* c);
 

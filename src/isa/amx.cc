@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "numerics/bf16.h"
+#include "util/hot_clones.h"
 #include "util/string_util.h"
 
 namespace cpullm {
@@ -12,8 +13,8 @@ namespace {
 
 /**
  * TMUL compute cores, extracted so the hot loops can be cloned per
- * ISA level with runtime ifunc dispatch (the packed_weights.cc
- * convention). The B tile is widened and pair-deinterleaved ONCE per
+ * ISA level with runtime ifunc dispatch (CPULLM_HOT_CLONES). The B
+ * tile is widened and pair-deinterleaved ONCE per
  * TMUL issue into lane-parallel planes, then every dst row streams
  * those planes with independent 16-lane accumulation chains — the
  * per-element expression and k-order match the naive emulation
@@ -23,20 +24,12 @@ namespace {
  * one B-tile conversion amortizes over all dst rows, so decode
  * batches scale the way Figs 8-11 measure.
  */
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define CPULLM_AMX_CLONES \
-    __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", \
-                                 "default")))
-#else
-#define CPULLM_AMX_CLONES
-#endif
-
 #if defined(__x86_64__) && defined(__GNUC__)
 #define CPULLM_AMX_X86_DISPATCH 1
 #include <immintrin.h>
 #endif
 
-CPULLM_AMX_CLONES void
+CPULLM_HOT_CLONES void
 tdpCoreBf16(std::uint8_t* dtile, const std::uint8_t* atile,
             const std::uint8_t* btile, int m, int n, int a_pairs)
 {
@@ -67,7 +60,7 @@ tdpCoreBf16(std::uint8_t* dtile, const std::uint8_t* atile,
     }
 }
 
-CPULLM_AMX_CLONES void
+CPULLM_HOT_CLONES void
 tdpCoreI8(std::uint8_t* dtile, const std::uint8_t* atile,
           const std::uint8_t* btile, int m, int n, int a_quads)
 {

@@ -10,9 +10,13 @@
  * Every call on a machine therefore runs one arithmetic sequence.
  * Where the toolchain has no target_clones (Clang, other
  * architectures) the macro is empty and the loop is compiled for the
- * build's target only.
+ * build's target only. It is empty under ThreadSanitizer too: GCC
+ * instruments the ifunc resolver, which runs during relocation,
+ * before the TSan runtime is up, and the binary dies with SIGSEGV
+ * before main.
  */
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
 #define CPULLM_HOT_CLONES \
     __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", \
                                  "default")))

@@ -5,9 +5,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "gemm/gemm.h"
+#include "gemm/quant_detail.h"
 #include "tensor/tensor.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -198,97 +200,187 @@ TEST(NibblePack, PaddingDequantsToZero)
                 << "k=" << kk << " j=" << j;
 }
 
+/** A way to run a kernel: the public entry points, or one task body
+ *  through the same 16-column task driver. */
+struct Body
+{
+    const char* name;
+    detail::I8gTaskFn i8; ///< nullptr: the public entry points
+    detail::I4gTaskFn i4;
+};
+
+/** The public entry points and every task body this host can run, so
+ *  both bodies stay checked whichever one the host dispatches to. */
+std::vector<Body>
+hostBodies()
+{
+    std::vector<Body> bodies{
+        {"public", nullptr, nullptr},
+        {"portable", &detail::i8gTaskPortable, &detail::i4gTaskPortable}};
+#if CPULLM_QUANT_AVX512
+    if (__builtin_cpu_supports("avx512f"))
+        bodies.push_back(
+            {"avx512", &detail::i8gTaskAvx512, &detail::i4gTaskAvx512});
+#endif
+    return bodies;
+}
+
+std::vector<float>
+runI8(const Body& body, const float* a, const PackedWeightsI8G& q,
+      std::int64_t m)
+{
+    std::vector<float> c(static_cast<std::size_t>(m * q.n()));
+    if (body.i8 == nullptr)
+        gemmAvx512I8gPacked(a, q, c.data(), m);
+    else
+        detail::runI8g(body.i8, a, q, c.data(), m);
+    return c;
+}
+
+/** @p gemv: at m = 1 the public path runs gemvI4gFused, which is what
+ *  matmul calls for a one-row activation. */
+std::vector<float>
+runI4(const Body& body, const float* a, const PackedWeightsI4G& q,
+      std::int64_t m, bool gemv = false)
+{
+    std::vector<float> c(static_cast<std::size_t>(m * q.n()));
+    if (body.i4 != nullptr)
+        detail::runI4g(body.i4, a, q, c.data(), m);
+    else if (gemv && m == 1)
+        gemvI4gFused(a, q, c.data());
+    else
+        gemmAvx512I4gPacked(a, q, c.data(), m);
+    return c;
+}
+
 // The fused kernels must agree with an FP32 dot over the dequantized
 // weights: same math, different association, so a small K-scaled
-// tolerance instead of bitwise.
+// tolerance instead of bitwise. m = 8 runs one full row tile and
+// leftover rows; n = 37 leaves ragged column tiles.
 TEST(FusedKernels, MatchDequantizedReference)
 {
-    const std::int64_t m = 4, k = 129, n = 37, group = 32;
+    const std::int64_t m = 8, k = 129, n = 37, group = 32;
     const Tensor a = randomMatrix(m, k, 91);
     const Tensor b = randomMatrix(k, n, 92);
     const float tol = 1e-6f * static_cast<float>(k) + 1e-5f;
-
     const PackedWeightsI8G q8(b.data<float>(), k, n, group);
-    std::vector<float> c8(static_cast<std::size_t>(m * n));
-    gemmAvx512I8gPacked(a.data<float>(), q8, c8.data(), m);
-    for (std::int64_t mi = 0; mi < m; ++mi)
-        for (std::int64_t j = 0; j < n; ++j) {
-            double want = 0.0;
-            for (std::int64_t kk = 0; kk < k; ++kk)
-                want += static_cast<double>(
-                            a.data<float>()[mi * k + kk]) *
-                        static_cast<double>(q8.dequant(kk, j));
-            EXPECT_NEAR(c8[static_cast<std::size_t>(mi * n + j)],
-                        want, tol)
-                << "i8g m=" << mi << " j=" << j;
-        }
+    const PackedWeightsI4G q4s(b.data<float>(), k, n, group);
+    const PackedWeightsI4G q4a(b.data<float>(), k, n, group,
+                               /*with_offset=*/true);
 
-    for (const bool with_offset : {false, true}) {
-        const PackedWeightsI4G q4(b.data<float>(), k, n, group,
-                                  with_offset);
-        std::vector<float> c4(static_cast<std::size_t>(m * n));
-        gemmAvx512I4gPacked(a.data<float>(), q4, c4.data(), m);
+    auto check = [&](const std::vector<float>& c, auto dequant,
+                     const std::string& what) {
         for (std::int64_t mi = 0; mi < m; ++mi)
             for (std::int64_t j = 0; j < n; ++j) {
                 double want = 0.0;
                 for (std::int64_t kk = 0; kk < k; ++kk)
                     want += static_cast<double>(
                                 a.data<float>()[mi * k + kk]) *
-                            static_cast<double>(q4.dequant(kk, j));
-                EXPECT_NEAR(c4[static_cast<std::size_t>(mi * n + j)],
+                            static_cast<double>(dequant(kk, j));
+                EXPECT_NEAR(c[static_cast<std::size_t>(mi * n + j)],
                             want, tol)
-                    << "i4g offset=" << with_offset << " m=" << mi
-                    << " j=" << j;
+                    << what << " m=" << mi << " j=" << j;
+            }
+    };
+    for (const Body& body : hostBodies()) {
+        const std::string name = body.name;
+        check(runI8(body, a.data<float>(), q8, m),
+              [&](std::int64_t kk, std::int64_t j) {
+                  return q8.dequant(kk, j);
+              },
+              name + " i8g");
+        for (const PackedWeightsI4G* q4 : {&q4s, &q4a})
+            check(runI4(body, a.data<float>(), *q4, m),
+                  [&](std::int64_t kk, std::int64_t j) {
+                      return q4->dequant(kk, j);
+                  },
+                  name + " i4g offset=" +
+                      std::to_string(q4->withOffset()));
+    }
+}
+
+// The row contract ContinuousBatcher and preemption rely on: every row
+// of an m-row call equals, bit for bit, the m = 1 call on that row
+// alone (gemvI4gFused on the public INT4 path). m covers one row, the
+// row tile and its neighbours, and leftover rows; n = 53 is not a
+// multiple of the column tile or of 16; K = 97 and 129 with group 32
+// leave a ragged last group, so the scalar tail runs.
+TEST(FusedKernels, GemvMatchesGemmAtM1Bitwise)
+{
+    constexpr std::int64_t kR = detail::kTileRows;
+    const std::int64_t n = 53, group = 32;
+    for (const std::int64_t k : {std::int64_t{97}, std::int64_t{129}}) {
+        const Tensor a = randomMatrix(33, k, 51 + k);
+        const Tensor b = randomMatrix(k, n, 52 + k);
+        const PackedWeightsI8G q8(b.data<float>(), k, n, group);
+        const PackedWeightsI4G q4s(b.data<float>(), k, n, group);
+        const PackedWeightsI4G q4a(b.data<float>(), k, n, group,
+                                   /*with_offset=*/true);
+        for (const Body& body : hostBodies())
+            for (const std::int64_t m :
+                 {std::int64_t{1}, std::int64_t{2}, kR - 1, kR, kR + 1,
+                  2 * kR + 1, std::int64_t{33}}) {
+                const float* ap = a.data<float>();
+                const std::vector<float> c8 = runI8(body, ap, q8, m);
+                const std::vector<float> c4s = runI4(body, ap, q4s, m);
+                const std::vector<float> c4a = runI4(body, ap, q4a, m);
+                for (std::int64_t r = 0; r < m; ++r) {
+                    const float* row = ap + r * k;
+                    auto slice = [&](const std::vector<float>& c) {
+                        return std::vector<float>(c.begin() + r * n,
+                                                  c.begin() + (r + 1) * n);
+                    };
+                    EXPECT_TRUE(bitwiseEqual(slice(c8),
+                                             runI8(body, row, q8, 1)))
+                        << body.name << " i8g k=" << k << " m=" << m
+                        << " row " << r;
+                    EXPECT_TRUE(bitwiseEqual(
+                        slice(c4s), runI4(body, row, q4s, 1, true)))
+                        << body.name << " i4g k=" << k << " m=" << m
+                        << " row " << r;
+                    EXPECT_TRUE(bitwiseEqual(
+                        slice(c4a), runI4(body, row, q4a, 1, true)))
+                        << body.name << " i4g affine k=" << k
+                        << " m=" << m << " row " << r;
+                }
             }
     }
 }
 
-// The decode fast path is the same per-column dot as the GEMM at
-// m=1 — bit for bit, not approximately.
-TEST(FusedKernels, GemvMatchesGemmAtM1Bitwise)
-{
-    const std::int64_t k = 97, n = 53;
-    const Tensor a = randomMatrix(1, k, 51);
-    const Tensor b = randomMatrix(k, n, 52);
-    const PackedWeightsI4G q(b.data<float>(), k, n, 32);
-    std::vector<float> gemm_c(static_cast<std::size_t>(n));
-    std::vector<float> gemv_c(static_cast<std::size_t>(n));
-    gemmAvx512I4gPacked(a.data<float>(), q, gemm_c.data(), 1);
-    gemvI4gFused(a.data<float>(), q, gemv_c.data());
-    EXPECT_TRUE(bitwiseEqual(gemm_c, gemv_c));
-}
-
 // The attnFusedRagged contract: fixed 16-column tasks make the fused
-// kernels bitwise invariant to thread count and backend.
+// kernels bitwise invariant to thread count and backend, for decode
+// (m = 1) and for a call with full row tiles and leftover rows.
 TEST(FusedKernels, ThreadCountAndBackendInvariance)
 {
     ParallelConfigGuard guard;
     const std::int64_t k = 192, n = 96;
-    const Tensor a = randomMatrix(1, k, 61);
     const Tensor b = randomMatrix(k, n, 62);
     const PackedWeightsI8G q8(b.data<float>(), k, n, 64);
     const PackedWeightsI4G q4(b.data<float>(), k, n, 64);
+    const Body entry{"public", nullptr, nullptr};
 
-    setMaxThreads(1);
-    std::vector<float> base8(static_cast<std::size_t>(n));
-    std::vector<float> base4(static_cast<std::size_t>(n));
-    gemmAvx512I8gPacked(a.data<float>(), q8, base8.data(), 1);
-    gemvI4gFused(a.data<float>(), q4, base4.data());
+    for (const std::int64_t m : {std::int64_t{1}, std::int64_t{13}}) {
+        const Tensor a = randomMatrix(m, k, 61);
+        setMaxThreads(1);
+        setParallelBackend(ParallelBackend::Pool);
+        const std::vector<float> base8 =
+            runI8(entry, a.data<float>(), q8, m);
+        const std::vector<float> base4 =
+            runI4(entry, a.data<float>(), q4, m, true);
 
-    for (const int threads : {2, 3, 0})
-        for (const ParallelBackend backend :
-             {ParallelBackend::Pool, ParallelBackend::Spawn}) {
-            setMaxThreads(threads);
-            setParallelBackend(backend);
-            std::vector<float> c8(static_cast<std::size_t>(n));
-            std::vector<float> c4(static_cast<std::size_t>(n));
-            gemmAvx512I8gPacked(a.data<float>(), q8, c8.data(), 1);
-            gemvI4gFused(a.data<float>(), q4, c4.data());
-            EXPECT_TRUE(bitwiseEqual(base8, c8))
-                << "i8g threads=" << threads;
-            EXPECT_TRUE(bitwiseEqual(base4, c4))
-                << "i4g threads=" << threads;
-        }
+        for (const int threads : {2, 3, 0})
+            for (const ParallelBackend backend :
+                 {ParallelBackend::Pool, ParallelBackend::Spawn}) {
+                setMaxThreads(threads);
+                setParallelBackend(backend);
+                EXPECT_TRUE(bitwiseEqual(
+                    base8, runI8(entry, a.data<float>(), q8, m)))
+                    << "i8g m=" << m << " threads=" << threads;
+                EXPECT_TRUE(bitwiseEqual(
+                    base4, runI4(entry, a.data<float>(), q4, m, true)))
+                    << "i4g m=" << m << " threads=" << threads;
+            }
+    }
 }
 
 // All-zero and constant inputs must quantize without zero divisors.
@@ -356,6 +448,14 @@ TEST(PreparedBQuant, DispatchesToFusedKernels)
         const Tensor c4 = matmul(engine, a, p4);
         EXPECT_EQ(c4.dim(0), m);
         EXPECT_EQ(c4.dim(1), n);
+
+        // F32 activations are read in place; others are widened
+        // first, and the kernels see the same values either way.
+        const Tensor a16 = a.cast(DType::BF16);
+        const Tensor c16 = matmul(engine, a16, p4);
+        const Tensor c16_ref = matmul(engine, a16.cast(DType::F32), p4);
+        for (std::int64_t i = 0; i < m * n; ++i)
+            EXPECT_EQ(c16.data<float>()[i], c16_ref.data<float>()[i]);
     }
 }
 
