@@ -398,8 +398,8 @@ main(int argc, char** argv)
         setParallelBackend(ParallelBackend::Pool);
         full.metrics["exact/i4g_gemv_thread_invariance"] = worst;
 
-        // The m=1 GEMM entry point shares the per-column dot routine
-        // with the GEMV fast path — bitwise identical by design.
+        // At m=1 the GEMM entry point runs the same body and tile as
+        // the GEMV entry point — bitwise identical by the row contract.
         gemm::gemmAvx512I4gPacked(a3.data<float>(), q4, other.data(),
                                   1);
         full.metrics["exact/i4g_gemv_vs_gemm_m1"] =
