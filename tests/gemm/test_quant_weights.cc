@@ -201,7 +201,7 @@ TEST(NibblePack, PaddingDequantsToZero)
 }
 
 /** A way to run a kernel: the public entry points, or one task body
- *  through the same 16-column task driver. */
+ *  through the same 16-column task loop (runI8g / runI4g). */
 struct Body
 {
     const char* name;
