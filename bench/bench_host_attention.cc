@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "core/bench_suite.h"
+#include "core/runtime_options.h"
 #include "gemm/attention.h"
 #include "kv/kv_cache.h"
 #include "util/parallel.h"
@@ -266,13 +267,7 @@ main(int argc, char** argv)
     std::string baseline_dir;
     double check_speedup = 0.0;
 
-    {
-        std::string err;
-        if (!applyThreadsEnv(&err))
-            usageError("CPULLM_THREADS expects a non-negative "
-                       "integer, got '" + err + "'");
-    }
-
+    core::FlagValues knobs;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&](const char* flag) -> std::string {
@@ -287,13 +282,7 @@ main(int argc, char** argv)
         } else if (arg == "--baseline-out") {
             baseline_dir = value("--baseline-out");
         } else if (arg == "--threads") {
-            const std::string v = value("--threads");
-            char* end = nullptr;
-            const long n = std::strtol(v.c_str(), &end, 10);
-            if (end == v.c_str() || *end != '\0' || n < 0)
-                usageError("--threads expects a non-negative "
-                           "integer, got '" + v + "'");
-            setMaxThreads(static_cast<std::size_t>(n));
+            knobs["threads"] = value("--threads");
         } else if (arg == "--check-speedup") {
             const std::string v = value("--check-speedup");
             char* end = nullptr;
@@ -309,6 +298,8 @@ main(int argc, char** argv)
             usageError("unknown flag: " + arg);
         }
     }
+    core::applyProcessWide(
+        core::resolveRuntimeOptions("bench_host_attention", knobs));
 
     // Decode: batch 2 sequences over the paper's span sweep. Quick
     // and full run the SAME shapes and spans so their metric keys

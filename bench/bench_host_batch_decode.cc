@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "core/bench_suite.h"
+#include "core/runtime_options.h"
 #include "kv/paged_kv_cache.h"
 #include "model/spec.h"
 #include "model/transformer.h"
@@ -366,13 +367,7 @@ main(int argc, char** argv)
     std::string baseline_dir;
     double check_speedup = 0.0;
 
-    {
-        std::string err;
-        if (!applyThreadsEnv(&err))
-            usageError("CPULLM_THREADS expects a non-negative "
-                       "integer, got '" + err + "'");
-    }
-
+    core::FlagValues knobs;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&](const char* flag) -> std::string {
@@ -387,13 +382,7 @@ main(int argc, char** argv)
         } else if (arg == "--baseline-out") {
             baseline_dir = value("--baseline-out");
         } else if (arg == "--threads") {
-            const std::string v = value("--threads");
-            char* end = nullptr;
-            const long n = std::strtol(v.c_str(), &end, 10);
-            if (end == v.c_str() || *end != '\0' || n < 0)
-                usageError("--threads expects a non-negative "
-                           "integer, got '" + v + "'");
-            setMaxThreads(static_cast<std::size_t>(n));
+            knobs["threads"] = value("--threads");
         } else if (arg == "--check-speedup") {
             const std::string v = value("--check-speedup");
             char* end = nullptr;
@@ -409,6 +398,8 @@ main(int argc, char** argv)
             usageError("unknown flag: " + arg);
         }
     }
+    core::applyProcessWide(
+        core::resolveRuntimeOptions("bench_host_batch_decode", knobs));
 
     // Same shapes in both modes — only the timing window shrinks in
     // quick mode, so the committed machine-relative baseline compares

@@ -31,12 +31,12 @@
 #include <vector>
 
 #include "core/bench_suite.h"
+#include "core/runtime_options.h"
 #include "engine/inference_engine.h"
 #include "hw/platform.h"
 #include "model/spec.h"
 #include "obs/counters.h"
 #include "obs/perf_events.h"
-#include "util/parallel.h"
 #include "util/table.h"
 
 namespace {
@@ -108,16 +108,7 @@ main(int argc, char** argv)
     std::string out_dir;
     std::string baseline_dir;
 
-    {
-        std::string err;
-        if (!applyThreadsEnv(&err))
-            usageError("CPULLM_THREADS expects a non-negative "
-                       "integer, got '" + err + "'");
-        if (!obs::pmu::applyCountersEnv(&err))
-            usageError("CPULLM_COUNTERS expects auto|perf|soft|off, "
-                       "got '" + err + "'");
-    }
-    bool mode_given = obs::pmu::countersEnvPresent();
+    core::FlagValues knobs;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -132,22 +123,8 @@ main(int argc, char** argv)
             out_dir = value("--out");
         } else if (arg == "--baseline-out") {
             baseline_dir = value("--baseline-out");
-        } else if (arg == "--threads") {
-            const std::string v = value("--threads");
-            char* end = nullptr;
-            const long n = std::strtol(v.c_str(), &end, 10);
-            if (end == v.c_str() || *end != '\0' || n < 0)
-                usageError("--threads expects a non-negative "
-                           "integer, got '" + v + "'");
-            setMaxThreads(static_cast<std::size_t>(n));
-        } else if (arg == "--counters") {
-            const std::string v = value("--counters");
-            obs::pmu::Mode m;
-            if (!obs::pmu::modeFromString(v, &m))
-                usageError("--counters expects auto|perf|soft|off, "
-                           "got '" + v + "'");
-            obs::pmu::setRequestedMode(m);
-            mode_given = true;
+        } else if (arg == "--threads" || arg == "--counters") {
+            knobs[arg.substr(2)] = value(arg.c_str());
         } else if (arg == "--help" || arg == "-h") {
             usage(std::cout);
             return 0;
@@ -155,9 +132,12 @@ main(int argc, char** argv)
             usageError("unknown flag: " + arg);
         }
     }
-    if (!mode_given)
-        obs::pmu::setRequestedMode(obs::pmu::Mode::Auto);
-    if (obs::pmu::requestedMode() == obs::pmu::Mode::Off)
+    core::RuntimeOptions defaults;
+    defaults.counters = obs::pmu::Mode::Auto; // this bench measures
+    const core::RuntimeOptions rt =
+        core::resolveRuntimeOptions("bench_host_counters", knobs, defaults);
+    core::applyProcessWide(rt);
+    if (rt.counters == obs::pmu::Mode::Off)
         usageError("this bench measures counters; --counters off "
                    "leaves nothing to do");
 
@@ -177,8 +157,7 @@ main(int argc, char** argv)
     const int max_reps = quick ? 3 : 6;
 
     obs::pmu::Session& session = obs::pmu::Session::instance();
-    const obs::pmu::Backend backend =
-        session.begin(obs::pmu::requestedMode());
+    const obs::pmu::Backend backend = session.begin(rt.counters);
     const obs::pmu::PerfProbe probe = session.probe();
     const int hw_events = session.hardwareEventsOpen();
     const bool imc = session.imcOpen();

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "core/bench_suite.h"
+#include "core/runtime_options.h"
 #include "gemm/gemm.h"
 #include "gemm/packed_weights.h"
 #include "numerics/bf16.h"
@@ -175,13 +176,7 @@ main(int argc, char** argv)
     double check_speedup = 0.0;
     double check_bytes_reduction = 0.0;
 
-    {
-        std::string err;
-        if (!applyThreadsEnv(&err))
-            usageError("CPULLM_THREADS expects a non-negative "
-                       "integer, got '" + err + "'");
-    }
-
+    core::FlagValues knobs;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&](const char* flag) -> std::string {
@@ -206,13 +201,7 @@ main(int argc, char** argv)
         } else if (arg == "--baseline-out") {
             baseline_dir = value("--baseline-out");
         } else if (arg == "--threads") {
-            const std::string v = value("--threads");
-            char* end = nullptr;
-            const long n = std::strtol(v.c_str(), &end, 10);
-            if (end == v.c_str() || *end != '\0' || n < 0)
-                usageError("--threads expects a non-negative "
-                           "integer, got '" + v + "'");
-            setMaxThreads(static_cast<std::size_t>(n));
+            knobs["threads"] = value("--threads");
         } else if (arg == "--check-speedup") {
             check_speedup =
                 positive("--check-speedup", value("--check-speedup"));
@@ -227,6 +216,8 @@ main(int argc, char** argv)
             usageError("unknown flag: " + arg);
         }
     }
+    core::applyProcessWide(
+        core::resolveRuntimeOptions("bench_host_quant", knobs));
 
     // Decode-shape weight matrices: square d x d, the up projection
     // d x 4d and the down projection 4d x d — the three GEMV shapes a

@@ -18,10 +18,11 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "engine/inference_engine.h"
@@ -77,16 +78,26 @@ main(int argc, char** argv)
     double tol = kDefaultTol;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
+        auto value = [&]() -> std::string {
+            if (i + 1 >= argc)
+                usageError("missing value for " + a);
+            return argv[++i];
+        };
         if (a == "--quick") {
             reps = 5;
-        } else if (a == "--reps" && i + 1 < argc) {
-            reps = std::atoi(argv[++i]);
-            if (reps < 1)
-                usageError("--reps expects a positive integer");
-        } else if (a == "--tol" && i + 1 < argc) {
-            tol = std::atof(argv[++i]);
-            if (tol <= 0.0)
-                usageError("--tol expects a positive ratio");
+        } else if (a == "--reps") {
+            const std::string v = value();
+            std::int64_t n = 0;
+            if (!parseInt(v, &n) || n < 1 ||
+                n > std::numeric_limits<int>::max())
+                usageError("--reps expects a positive integer, got '" +
+                           v + "'");
+            reps = static_cast<int>(n);
+        } else if (a == "--tol") {
+            const std::string v = value();
+            if (!parseFinite(v, &tol) || tol <= 0.0)
+                usageError("--tol expects a finite positive ratio, "
+                           "got '" + v + "'");
         } else {
             usageError("unknown flag '" + a + "'");
         }

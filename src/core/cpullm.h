@@ -19,6 +19,7 @@
 #include "core/experiments.h"
 #include "core/figure.h"
 #include "core/key_findings.h"
+#include "core/runtime_options.h"
 #include "engine/inference_engine.h"
 #include "gemm/gemm.h"
 #include "gpu/gpu_attribution.h"

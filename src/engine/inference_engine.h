@@ -96,21 +96,24 @@ struct HostBatchResult
 class CpuInferenceEngine
 {
   public:
+    /** Functional-weight RNG seed unless the caller picks one. */
+    static constexpr std::uint64_t kDefaultSeed = 7;
+
     /**
      * @param platform validated platform (see hw::platformByName)
      * @param spec     model architecture
      * @param mode     TimingOnly for paper-scale models
      * @param seed     RNG seed for functional-mode weights
      * @param wquant   weight-only quantization of the functional
-     *                 model's weight caches; defaults to the
-     *                 process-wide --wquant / CPULLM_WQUANT request
+     *                 model's weight caches (the CLI passes --wquant /
+     *                 CPULLM_WQUANT here)
      */
     CpuInferenceEngine(const hw::PlatformConfig& platform,
                        model::ModelSpec spec,
                        ExecutionMode mode = ExecutionMode::TimingOnly,
-                       std::uint64_t seed = 7,
+                       std::uint64_t seed = kDefaultSeed,
                        gemm::WeightDtype wquant =
-                           gemm::requestedWeightDtype());
+                           gemm::WeightDtype::Native);
 
     const hw::PlatformConfig& platform() const
     {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 
@@ -25,8 +24,6 @@ namespace cpullm {
 namespace gemm {
 
 namespace {
-
-std::atomic<WeightDtype> requested_wdtype_{WeightDtype::Native};
 
 // Process-wide quantization counters (the AttnStats pattern).
 // Error aggregates are doubles merged under a mutex: preparation is
@@ -102,34 +99,6 @@ weightDtypeFromName(const std::string& name, WeightDtype* out)
         return true;
     }
     return false;
-}
-
-WeightDtype
-requestedWeightDtype()
-{
-    return requested_wdtype_.load(std::memory_order_relaxed);
-}
-
-void
-setRequestedWeightDtype(WeightDtype d)
-{
-    requested_wdtype_.store(d, std::memory_order_relaxed);
-}
-
-bool
-applyWquantEnv(std::string* err_value)
-{
-    const char* env = std::getenv("CPULLM_WQUANT");
-    if (env == nullptr || *env == '\0')
-        return true;
-    WeightDtype d;
-    if (!weightDtypeFromName(env, &d)) {
-        if (err_value != nullptr)
-            *err_value = env;
-        return false;
-    }
-    setRequestedWeightDtype(d);
-    return true;
 }
 
 QuantStats

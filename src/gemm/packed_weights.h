@@ -51,20 +51,6 @@ const char* weightDtypeName(WeightDtype d);
  */
 bool weightDtypeFromName(const std::string& name, WeightDtype* out);
 
-/** Process-wide requested weight dtype (what --wquant/CPULLM_WQUANT
- *  select; engines pick it up at construction). */
-WeightDtype requestedWeightDtype();
-void setRequestedWeightDtype(WeightDtype d);
-
-/**
- * Apply the CPULLM_WQUANT environment variable (if set and
- * non-empty). Returns false without side effects on malformed
- * values, storing the offending text in @p err_value (if non-null)
- * so CLIs can hard-error (exit 2) — same contract as
- * applyThreadsEnv/applyCountersEnv.
- */
-bool applyWquantEnv(std::string* err_value = nullptr);
-
 /** Default quantization group length along K (multiple of 16). */
 inline constexpr std::int64_t kQuantGroup = 64;
 
@@ -393,8 +379,10 @@ struct QuantStats
     std::uint64_t tensorsI4 = 0;     ///< of which nibble-packed INT4
     std::uint64_t packedBytes = 0;   ///< quantized bytes (codes+scales)
     std::uint64_t nativeBytes = 0;   ///< BF16 tile bytes they replace
-    std::uint64_t gemmCalls = 0;     ///< fused-dequant calls, m > 1
-    std::uint64_t gemvCalls = 0;     ///< fused decode GEMV calls
+    /** Fused-dequant GEMM calls: every INT8 call (m = 1 included),
+     *  and INT4 calls with m > 1. */
+    std::uint64_t gemmCalls = 0;
+    std::uint64_t gemvCalls = 0;     ///< INT4 decode GEMV calls, m = 1
     std::uint64_t bytesStreamed = 0; ///< packed bytes those calls read
     double maxAbsErr = 0.0;          ///< worst per-weight dequant error
     double rmsErr = 0.0;             ///< RMS dequant error, all weights

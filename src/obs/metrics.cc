@@ -244,10 +244,10 @@ recordHostQuantStats(stats::Registry& reg)
                                 static_cast<double>(s.nativeBytes)
                           : std::nan(""));
     set("host.quant.gemm_calls",
-        "fused-dequant GEMM calls (m > 1 or INT8 grouped)",
+        "fused-dequant GEMM calls: every INT8 call, INT4 m > 1",
         static_cast<double>(s.gemmCalls));
     set("host.quant.gemv_calls",
-        "fused decode GEMV calls (m == 1, INT4)",
+        "fused INT4 decode GEMV calls (m == 1)",
         static_cast<double>(s.gemvCalls));
     set("host.quant.bytes_streamed",
         "packed weight bytes streamed by the fused kernels",

@@ -61,8 +61,6 @@ monotonicNs()
         .count();
 }
 
-Mode g_requested_mode = Mode::Off;
-
 } // namespace
 
 const char* const kParanoidPath =
@@ -94,41 +92,6 @@ modeName(Mode m)
       case Mode::Off: return "off";
     }
     return "off";
-}
-
-void
-setRequestedMode(Mode m)
-{
-    g_requested_mode = m;
-}
-
-Mode
-requestedMode()
-{
-    return g_requested_mode;
-}
-
-bool
-countersEnvPresent()
-{
-    const char* v = std::getenv("CPULLM_COUNTERS");
-    return v && *v;
-}
-
-bool
-applyCountersEnv(std::string* err_value)
-{
-    const char* v = std::getenv("CPULLM_COUNTERS");
-    if (!v || !*v)
-        return true;
-    Mode m;
-    if (!modeFromString(v, &m)) {
-        if (err_value)
-            *err_value = v;
-        return false;
-    }
-    setRequestedMode(m);
-    return true;
 }
 
 const char*

@@ -82,26 +82,6 @@ enum class Mode {
 bool modeFromString(const std::string& s, Mode* out);
 const char* modeName(Mode m);
 
-/** @name Process-wide requested mode (default Off)
- * The CLI applies CPULLM_COUNTERS / --counters here; Session::begin
- * consumes it. */
-/// @{
-void setRequestedMode(Mode m);
-Mode requestedMode();
-/// @}
-
-/**
- * Apply the CPULLM_COUNTERS environment variable (if set and
- * non-empty) to setRequestedMode. Returns false without side effects
- * when the value is not a known mode, storing the offending text in
- * @p err_value so CLIs can hard-error (exit 2) on it — the same
- * contract as applyThreadsEnv / --threads.
- */
-bool applyCountersEnv(std::string* err_value = nullptr);
-
-/** True when CPULLM_COUNTERS is set to a non-empty value. */
-bool countersEnvPresent();
-
 /** Backend a Session actually selected. */
 enum class Backend {
     Perf,     ///< perf_event_open counter groups

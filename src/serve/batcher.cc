@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <mutex>
 
 #include "util/logging.h"
@@ -14,21 +13,6 @@ namespace {
 
 std::mutex g_snapshot_mu;
 HostBatchSnapshot g_snapshot;
-
-std::mutex g_requested_mu;
-BatcherConfig g_requested;
-
-/** Strict positive-integer env parse ("12", no trailing junk). */
-bool
-envPositiveInt(const char* value, std::int64_t* out)
-{
-    char* end = nullptr;
-    const long long v = std::strtoll(value, &end, 10);
-    if (end == value || *end != '\0' || v < 1)
-        return false;
-    *out = v;
-    return true;
-}
 
 } // namespace
 
@@ -94,65 +78,6 @@ recordHostBatchStats(stats::Registry& reg)
     set("host.batch.kv_prefix_shared_blocks",
         "paged-KV blocks reused via shared prefixes",
         static_cast<double>(s.prefixSharedBlocks));
-}
-
-BatcherConfig
-requestedBatcherConfig()
-{
-    std::lock_guard<std::mutex> lock(g_requested_mu);
-    return g_requested;
-}
-
-void
-setRequestedBatcherConfig(const BatcherConfig& cfg)
-{
-    CPULLM_ASSERT(cfg.maxBatch >= 1 && cfg.blockSize >= 1 &&
-                      cfg.numBlocks >= 1,
-                  "batcher config values must be >= 1");
-    std::lock_guard<std::mutex> lock(g_requested_mu);
-    g_requested = cfg;
-}
-
-bool
-applyBatcherEnv(std::string* err_msg)
-{
-    BatcherConfig cfg = requestedBatcherConfig();
-    struct IntVar
-    {
-        const char* name;
-        std::int64_t* slot;
-    };
-    const IntVar ints[] = {{"CPULLM_BATCH_MAX", &cfg.maxBatch},
-                           {"CPULLM_KV_BLOCKS", &cfg.numBlocks}};
-    for (const IntVar& v : ints) {
-        const char* env = std::getenv(v.name);
-        if (env == nullptr || *env == '\0')
-            continue;
-        if (!envPositiveInt(env, v.slot)) {
-            if (err_msg != nullptr)
-                *err_msg = std::string(v.name) +
-                           " expects a positive integer, got '" +
-                           env + "'";
-            return false;
-        }
-    }
-    if (const char* env = std::getenv("CPULLM_PREFIX_CACHE")) {
-        const std::string v = env;
-        if (v.empty()) {
-            // unset-equivalent
-        } else if (v == "on") {
-            cfg.prefixCache = true;
-        } else if (v == "off") {
-            cfg.prefixCache = false;
-        } else {
-            if (err_msg != nullptr)
-                *err_msg = "CPULLM_PREFIX_CACHE expects on|off, "
-                           "got '" + v + "'";
-            return false;
-        }
-    }
-    setRequestedBatcherConfig(cfg);
-    return true;
 }
 
 ContinuousBatcher::ContinuousBatcher(model::TransformerModel& model,

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <string>
 #include <vector>
 
 #include "kv/paged_kv_cache.h"
@@ -112,27 +111,6 @@ HostBatchSnapshot hostBatchSnapshot();
  * obs::recordHost*Stats family `cpullm bench` dumps.
  */
 void recordHostBatchStats(stats::Registry& reg);
-
-/**
- * @name Process-wide requested configuration
- * The CLI's --batch-max / --kv-blocks / --prefix-cache flags and
- * their CPULLM_BATCH_MAX / CPULLM_KV_BLOCKS / CPULLM_PREFIX_CACHE
- * env equivalents land here; whoever constructs a batcher for the
- * host path starts from requestedBatcherConfig().
- */
-/// @{
-BatcherConfig requestedBatcherConfig();
-void setRequestedBatcherConfig(const BatcherConfig& cfg);
-
-/**
- * Apply the CPULLM_BATCH_MAX / CPULLM_KV_BLOCKS /
- * CPULLM_PREFIX_CACHE environment variables on top of the current
- * requested config. Returns false on a malformed value with a
- * ready-to-print message in @p err_msg (the CLI turns that into its
- * exit-2 usage error); unset/empty variables are ignored.
- */
-bool applyBatcherEnv(std::string* err_msg);
-/// @}
 
 /**
  * The continuous-batching decode runtime. Typical use:

@@ -289,9 +289,17 @@ ServingTelemetry::writePrometheus(std::ostream& os) const
     obs::writePrometheus(os, reg_, {});
 
     const double now = now_;
-    auto gauge = [&](const char* name, const char* help, double v) {
-        obs::writePromHeader(os, name, help, "gauge");
+    auto series = [&](const char* type, const char* name,
+                      const char* help, double v) {
+        obs::writePromHeader(os, name, help, type);
         obs::writePromSample(os, name, {}, v);
+    };
+    auto gauge = [&](const char* name, const char* help, double v) {
+        series("gauge", name, help, v);
+    };
+    // Monotonic totals (the `_total` families).
+    auto counter = [&](const char* name, const char* help, double v) {
+        series("counter", name, help, v);
     };
     gauge("cpullm_window_seconds", "trailing telemetry window",
           arrivals_.window());
@@ -307,15 +315,15 @@ ServingTelemetry::writePrometheus(std::ostream& os) const
     const ThreadPool::Stats pool = ThreadPool::instance().stats();
     gauge("cpullm_host_pool_size", "persistent host worker threads",
           static_cast<double>(pool.poolSize));
-    gauge("cpullm_host_pool_parallel_ops_total",
-          "parallelFor calls executed on the host pool",
-          static_cast<double>(pool.parallelOps));
-    gauge("cpullm_host_pool_tasks_total",
-          "loop indices executed via the host pool",
-          static_cast<double>(pool.tasks));
-    gauge("cpullm_host_pool_steals_total",
-          "work chunks stolen between host workers",
-          static_cast<double>(pool.steals));
+    counter("cpullm_host_pool_parallel_ops_total",
+            "parallelFor calls executed on the host pool",
+            static_cast<double>(pool.parallelOps));
+    counter("cpullm_host_pool_tasks_total",
+            "loop indices executed via the host pool",
+            static_cast<double>(pool.tasks));
+    counter("cpullm_host_pool_steals_total",
+            "work chunks stolen between host workers",
+            static_cast<double>(pool.steals));
 
     // Measured hardware counters, when a pmu::Session is live under
     // this server (--counters). Fields the backend cannot measure
@@ -329,36 +337,37 @@ ServingTelemetry::writePrometheus(std::ostream& os) const
               "per-thread perf counter groups open",
               static_cast<double>(pmu.threadGroups()));
         const obs::pmu::PmuCounts c = pmu.readAll();
-        auto finiteGauge = [&](const char* name, const char* help,
-                               double v) {
+        auto finiteCounter = [&](const char* name, const char* help,
+                                 double v) {
             if (std::isfinite(v))
-                gauge(name, help, v);
+                counter(name, help, v);
         };
-        finiteGauge("cpullm_host_pmu_task_clock_seconds_total",
-                    "measured CPU time across threads",
-                    c.taskClockNs / 1e9);
-        finiteGauge("cpullm_host_pmu_cycles_total",
-                    "measured core cycles", c.cycles);
-        finiteGauge("cpullm_host_pmu_instructions_total",
-                    "measured retired instructions", c.instructions);
-        finiteGauge("cpullm_host_pmu_llc_misses_total",
-                    "measured last-level cache misses", c.llcMisses);
-        finiteGauge("cpullm_host_pmu_llc_references_total",
-                    "measured last-level cache references",
-                    c.llcReferences);
-        finiteGauge("cpullm_host_pmu_branch_misses_total",
-                    "measured mispredicted branches", c.branchMisses);
-        finiteGauge("cpullm_host_pmu_page_faults_total",
-                    "measured minor+major page faults", c.pageFaults);
-        finiteGauge("cpullm_host_pmu_context_switches_total",
-                    "measured context switches", c.contextSwitches);
+        finiteCounter("cpullm_host_pmu_task_clock_seconds_total",
+                      "measured CPU time across threads",
+                      c.taskClockNs / 1e9);
+        finiteCounter("cpullm_host_pmu_cycles_total",
+                      "measured core cycles", c.cycles);
+        finiteCounter("cpullm_host_pmu_instructions_total",
+                      "measured retired instructions", c.instructions);
+        finiteCounter("cpullm_host_pmu_llc_misses_total",
+                      "measured last-level cache misses", c.llcMisses);
+        finiteCounter("cpullm_host_pmu_llc_references_total",
+                      "measured last-level cache references",
+                      c.llcReferences);
+        finiteCounter("cpullm_host_pmu_branch_misses_total",
+                      "measured mispredicted branches", c.branchMisses);
+        finiteCounter("cpullm_host_pmu_page_faults_total",
+                      "measured minor+major page faults", c.pageFaults);
+        finiteCounter("cpullm_host_pmu_context_switches_total",
+                      "measured context switches", c.contextSwitches);
         const obs::CounterMetrics m =
             obs::deriveCounterMetrics(c, 0.0);
-        finiteGauge("cpullm_host_pmu_ipc",
-                    "measured instructions per cycle", m.ipc);
-        finiteGauge("cpullm_host_pmu_llc_mpki",
-                    "measured LLC misses per kilo-instruction",
-                    m.llcMpki);
+        if (std::isfinite(m.ipc))
+            gauge("cpullm_host_pmu_ipc",
+                  "measured instructions per cycle", m.ipc);
+        if (std::isfinite(m.llcMpki))
+            gauge("cpullm_host_pmu_llc_mpki",
+                  "measured LLC misses per kilo-instruction", m.llcMpki);
     }
 
     // Quantized-weight counters, when --wquant / CPULLM_WQUANT put
@@ -383,15 +392,15 @@ ServingTelemetry::writePrometheus(std::ostream& os) const
                   static_cast<double>(qs.packedBytes) /
                       static_cast<double>(qs.nativeBytes));
         }
-        gauge("cpullm_host_quant_gemm_calls_total",
-              "fused-dequant GEMM calls",
-              static_cast<double>(qs.gemmCalls));
-        gauge("cpullm_host_quant_gemv_calls_total",
-              "fused decode GEMV calls (m == 1, INT4)",
-              static_cast<double>(qs.gemvCalls));
-        gauge("cpullm_host_quant_bytes_streamed_total",
-              "packed weight bytes streamed by the fused kernels",
-              static_cast<double>(qs.bytesStreamed));
+        counter("cpullm_host_quant_gemm_calls_total",
+                "fused-dequant GEMM calls: every INT8 call, INT4 m > 1",
+                static_cast<double>(qs.gemmCalls));
+        counter("cpullm_host_quant_gemv_calls_total",
+                "fused INT4 decode GEMV calls (m == 1)",
+                static_cast<double>(qs.gemvCalls));
+        counter("cpullm_host_quant_bytes_streamed_total",
+                "packed weight bytes streamed by the fused kernels",
+                static_cast<double>(qs.bytesStreamed));
         gauge("cpullm_host_quant_max_abs_err",
               "worst per-weight dequantization error", qs.maxAbsErr);
         gauge("cpullm_host_quant_rms_err",
@@ -405,33 +414,33 @@ ServingTelemetry::writePrometheus(std::ostream& os) const
     // in-flight occupancy, not just the final totals.
     const HostBatchSnapshot hb = hostBatchSnapshot();
     if (hb.valid) {
-        gauge("cpullm_host_batch_steps_total",
-              "fused ragged decode steps executed",
-              static_cast<double>(hb.stats.steps));
-        gauge("cpullm_host_batch_decoded_tokens_total",
-              "tokens produced by fused decode steps",
-              static_cast<double>(hb.stats.decodedTokens));
-        gauge("cpullm_host_batch_prefill_tokens_total",
-              "prompt tokens prefilled (prefix-cache suffixes only)",
-              static_cast<double>(hb.stats.prefillTokens));
-        gauge("cpullm_host_batch_admitted_total",
-              "sequence admissions incl. preemption re-admits",
-              static_cast<double>(hb.stats.admitted));
-        gauge("cpullm_host_batch_retired_total",
-              "sequences completed",
-              static_cast<double>(hb.stats.retired));
-        gauge("cpullm_host_batch_preemptions_total",
-              "evict-and-requeue events under pool pressure",
-              static_cast<double>(hb.stats.preemptions));
-        gauge("cpullm_host_batch_admission_rejections_total",
-              "admissions refused because the paged pool was full",
-              static_cast<double>(hb.stats.admissionRejections));
-        gauge("cpullm_host_batch_prefix_hits_total",
-              "admissions that reused a cached prompt prefix",
-              static_cast<double>(hb.stats.prefixHits));
-        gauge("cpullm_host_batch_prefix_tokens_reused_total",
-              "prompt tokens served from shared prefix blocks",
-              static_cast<double>(hb.stats.prefixTokensReused));
+        counter("cpullm_host_batch_steps_total",
+                "fused ragged decode steps executed",
+                static_cast<double>(hb.stats.steps));
+        counter("cpullm_host_batch_decoded_tokens_total",
+                "tokens produced by fused decode steps",
+                static_cast<double>(hb.stats.decodedTokens));
+        counter("cpullm_host_batch_prefill_tokens_total",
+                "prompt tokens prefilled (prefix-cache suffixes only)",
+                static_cast<double>(hb.stats.prefillTokens));
+        counter("cpullm_host_batch_admitted_total",
+                "sequence admissions incl. preemption re-admits",
+                static_cast<double>(hb.stats.admitted));
+        counter("cpullm_host_batch_retired_total",
+                "sequences completed",
+                static_cast<double>(hb.stats.retired));
+        counter("cpullm_host_batch_preemptions_total",
+                "evict-and-requeue events under pool pressure",
+                static_cast<double>(hb.stats.preemptions));
+        counter("cpullm_host_batch_admission_rejections_total",
+                "admissions refused because the paged pool was full",
+                static_cast<double>(hb.stats.admissionRejections));
+        counter("cpullm_host_batch_prefix_hits_total",
+                "admissions that reused a cached prompt prefix",
+                static_cast<double>(hb.stats.prefixHits));
+        counter("cpullm_host_batch_prefix_tokens_reused_total",
+                "prompt tokens served from shared prefix blocks",
+                static_cast<double>(hb.stats.prefixTokensReused));
         gauge("cpullm_host_batch_live_sequences",
               "sequences in flight at the last publish",
               static_cast<double>(hb.liveSequences));
@@ -444,7 +453,7 @@ ServingTelemetry::writePrometheus(std::ostream& os) const
         gauge("cpullm_host_batch_peak_occupancy",
               "max in-flight sequences",
               static_cast<double>(hb.stats.peakOccupancy));
-        gauge("cpullm_host_batch_kv_blocks_total",
+        gauge("cpullm_host_batch_kv_blocks_capacity",
               "paged-KV pool capacity in blocks",
               static_cast<double>(hb.blocksTotal));
         gauge("cpullm_host_batch_kv_block_size",

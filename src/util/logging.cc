@@ -67,24 +67,6 @@ logLevelName(LogLevel level)
     return "info";
 }
 
-void
-applyLogLevelEnv()
-{
-    const char* env = std::getenv("CPULLM_LOG_LEVEL");
-    if (env == nullptr || env[0] == '\0') {
-        return;
-    }
-    LogLevel level;
-    if (!logLevelFromString(env, &level)) {
-        std::fprintf(stderr,
-                     "[cpullm:usage] CPULLM_LOG_LEVEL must be one of "
-                     "silent|warn|info|debug, got '%s'\n",
-                     env);
-        std::exit(2);
-    }
-    setLogLevel(level);
-}
-
 CrashHook
 setCrashHook(CrashHook hook) noexcept
 {

@@ -41,14 +41,6 @@ bool logLevelFromString(const std::string& s, LogLevel* out);
 const char* logLevelName(LogLevel level);
 
 /**
- * Apply the CPULLM_LOG_LEVEL environment variable, mirroring
- * setLogLevel. Unset/empty leaves the level untouched. A malformed
- * value follows the usual env contract (CPULLM_THREADS,
- * CPULLM_COUNTERS): print a usage error and exit 2.
- */
-void applyLogLevelEnv();
-
-/**
  * Crash hook: invoked exactly once from CPULLM_FATAL / CPULLM_PANIC
  * (after the message is printed, before exit/abort) so the flight
  * recorder can dump its ring for post-mortem triage. The hook must be

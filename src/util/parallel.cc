@@ -1,7 +1,6 @@
 #include "util/parallel.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -47,23 +46,6 @@ parallelBackend()
 {
     return static_cast<ParallelBackend>(
         backend.load(std::memory_order_relaxed));
-}
-
-bool
-applyThreadsEnv(std::string* err_value)
-{
-    const char* v = std::getenv("CPULLM_THREADS");
-    if (v == nullptr || *v == '\0')
-        return true;
-    char* end = nullptr;
-    const long n = std::strtol(v, &end, 10);
-    if (end == v || *end != '\0' || n < 0) {
-        if (err_value != nullptr)
-            *err_value = v;
-        return false;
-    }
-    setMaxThreads(static_cast<std::size_t>(n));
-    return true;
 }
 
 void

@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <string>
 
 namespace cpullm {
 
@@ -62,14 +61,6 @@ void parallelFor(std::size_t begin, std::size_t end,
 void parallelForSpawn(std::size_t begin, std::size_t end,
                       const std::function<void(std::size_t)>& fn,
                       std::size_t grain = 1);
-
-/**
- * Apply the CPULLM_THREADS environment variable (if set and non-empty)
- * to setMaxThreads. Returns false without side effects when the value
- * is not a non-negative integer, storing the offending text in
- * @p err_value (if non-null) so CLIs can hard-error (exit 2) on it.
- */
-bool applyThreadsEnv(std::string* err_value = nullptr);
 
 } // namespace cpullm
 

@@ -1,6 +1,8 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <sstream>
@@ -84,6 +86,31 @@ formatNumber(double v, int digits)
             s.pop_back();
     }
     return s;
+}
+
+bool
+parseInt(const std::string& s, std::int64_t* out)
+{
+    std::int64_t v = 0;
+    const char* end = s.data() + s.size();
+    const auto r = std::from_chars(s.data(), end, v);
+    if (s.empty() || r.ec != std::errc() || r.ptr != end)
+        return false;
+    *out = v;
+    return true;
+}
+
+bool
+parseFinite(const std::string& s, double* out)
+{
+    double v = 0.0;
+    const char* end = s.data() + s.size();
+    const auto r = std::from_chars(s.data(), end, v);
+    if (s.empty() || r.ec != std::errc() || r.ptr != end ||
+        !std::isfinite(v))
+        return false;
+    *out = v;
+    return true;
 }
 
 std::string

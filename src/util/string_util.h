@@ -6,6 +6,7 @@
  * Small string helpers shared across the framework.
  */
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,18 @@ bool startsWith(const std::string& s, const std::string& prefix);
 
 /** Format a double with @p digits significant decimals, trimming zeros. */
 std::string formatNumber(double v, int digits = 3);
+
+/**
+ * Parse all of @p s as a decimal integer ("12", "-3"; not "1e1",
+ * "2.0", " 4" or "4cores"). False, leaving @p out alone, otherwise.
+ */
+bool parseInt(const std::string& s, std::int64_t* out);
+
+/**
+ * Parse all of @p s as a finite number ("1.03", "5e-2"; not "nan",
+ * "inf" or "3x"). False, leaving @p out alone, otherwise.
+ */
+bool parseFinite(const std::string& s, double* out);
 
 } // namespace cpullm
 

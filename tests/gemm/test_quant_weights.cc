@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -485,23 +484,6 @@ TEST(WeightDtypeNames, RoundTripAndRejects)
     EXPECT_EQ(d, WeightDtype::Native);
     EXPECT_FALSE(weightDtypeFromName("fp8", &d));
     EXPECT_STREQ(weightDtypeName(WeightDtype::I4Grouped), "int4");
-}
-
-TEST(WquantEnv, AppliesAndRejects)
-{
-    const WeightDtype before = requestedWeightDtype();
-    ::setenv("CPULLM_WQUANT", "int4", 1);
-    EXPECT_TRUE(applyWquantEnv());
-    EXPECT_EQ(requestedWeightDtype(), WeightDtype::I4Grouped);
-    ::setenv("CPULLM_WQUANT", "garbage", 1);
-    std::string bad;
-    EXPECT_FALSE(applyWquantEnv(&bad));
-    EXPECT_EQ(bad, "garbage");
-    // Malformed values must not clobber the previous selection.
-    EXPECT_EQ(requestedWeightDtype(), WeightDtype::I4Grouped);
-    ::unsetenv("CPULLM_WQUANT");
-    EXPECT_TRUE(applyWquantEnv());
-    setRequestedWeightDtype(before);
 }
 
 TEST(QuantStatsCounters, TracksPreparesAndCalls)

@@ -54,8 +54,9 @@ checkSeqDiscipline(const std::vector<Record>& records)
         EXPECT_TRUE(seen.insert({r.tid, r.seq}).second)
             << "duplicate tid=" << r.tid << " seq=" << r.seq;
         auto it = last.find(r.tid);
-        if (it != last.end())
+        if (it != last.end()) {
             EXPECT_GT(r.seq, it->second) << "tid=" << r.tid;
+        }
         last[r.tid] = r.seq;
     }
 }

@@ -79,8 +79,9 @@ TEST(ChromeTrace, TimestampsNonNegativeAndSorted)
     ASSERT_GE(ts.size(), 5u);
     for (std::size_t i = 0; i < ts.size(); ++i) {
         EXPECT_GE(ts[i], 0.0);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(ts[i], ts[i - 1]);
+        }
     }
     for (double d : numericField(json, "dur"))
         EXPECT_GE(d, 0.0);

@@ -9,8 +9,10 @@
 #include <vector>
 
 #include "obs/prometheus.h"
+#include "serve/batcher.h"
 #include "serve/serving_sim.h"
 #include "util/json.h"
+#include "util/string_util.h"
 
 namespace cpullm {
 namespace serve {
@@ -176,12 +178,39 @@ TEST(ServingTelemetry, PrometheusViewValidates)
     opt.genLen = 16;
     ServingTelemetry t(opt);
     simulateServing(smallConfig(), flatLatency(), nullptr, &t);
+    // A published batcher snapshot puts the cpullm_host_batch_*
+    // families in the view.
+    HostBatchSnapshot snap;
+    snap.stats.steps = 3;
+    snap.blocksTotal = 64;
+    publishHostBatchStats(snap);
 
     std::ostringstream os;
     t.writePrometheus(os);
     std::vector<std::string> errors;
     EXPECT_TRUE(obs::promValid(os.str(), &errors))
         << (errors.empty() ? os.str() : errors.front());
+    // Every monotonic `_total` family is typed counter, not gauge.
+    std::istringstream lines(os.str());
+    std::string line;
+    int totals = 0;
+    while (std::getline(lines, line)) {
+        if (!startsWith(line, "# TYPE "))
+            continue;
+        std::istringstream fields(line.substr(7));
+        std::string name, type;
+        fields >> name >> type;
+        if (name.size() > 6 &&
+            name.compare(name.size() - 6, 6, "_total") == 0) {
+            ++totals;
+            EXPECT_EQ(type, "counter") << name;
+        }
+    }
+    EXPECT_GE(totals, 12); // 3 pool + 9 batch families
+    // Pool capacity is a level, not a count.
+    EXPECT_NE(os.str().find("# TYPE cpullm_host_batch_kv_blocks_capacity "
+                            "gauge"),
+              std::string::npos);
     EXPECT_NE(os.str().find("cpullm_window_arrival_rate_rps"),
               std::string::npos);
     EXPECT_NE(os.str().find("cpullm_slo_burn_rate{slo=\"ttft\"}"),

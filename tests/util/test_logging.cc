@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "util/thread_pool.h"
@@ -95,40 +94,6 @@ TEST(LogLevel, NameRoundTrip)
         ASSERT_TRUE(logLevelFromString(logLevelName(l), &back));
         EXPECT_EQ(back, l);
     }
-}
-
-TEST(LogLevelEnv, AppliesValidValue)
-{
-    const LogLevel prev = logLevel();
-    ASSERT_EQ(setenv("CPULLM_LOG_LEVEL", "debug", 1), 0);
-    applyLogLevelEnv();
-    EXPECT_EQ(logLevel(), LogLevel::Debug);
-    unsetenv("CPULLM_LOG_LEVEL");
-    setLogLevel(prev);
-}
-
-TEST(LogLevelEnv, UnsetAndEmptyLeaveLevelUntouched)
-{
-    const LogLevel prev = logLevel();
-    setLogLevel(LogLevel::Warn);
-    unsetenv("CPULLM_LOG_LEVEL");
-    applyLogLevelEnv();
-    EXPECT_EQ(logLevel(), LogLevel::Warn);
-    ASSERT_EQ(setenv("CPULLM_LOG_LEVEL", "", 1), 0);
-    applyLogLevelEnv();
-    EXPECT_EQ(logLevel(), LogLevel::Warn);
-    unsetenv("CPULLM_LOG_LEVEL");
-    setLogLevel(prev);
-}
-
-TEST(LogLevelEnvDeath, MalformedValueIsUsageErrorExit2)
-{
-    EXPECT_EXIT(
-        {
-            setenv("CPULLM_LOG_LEVEL", "loud", 1);
-            applyLogLevelEnv();
-        },
-        testing::ExitedWithCode(2), "CPULLM_LOG_LEVEL");
 }
 
 namespace {

@@ -216,43 +216,6 @@ TEST(ThreadPoolDeath, ForkedChildGetsAnEmptyPool)
     EXPECT_GT(pool.stats().parallelOps, before.parallelOps);
 }
 
-TEST(ApplyThreadsEnv, UnsetLeavesCapAlone)
-{
-    ParallelConfigGuard guard;
-    ::unsetenv("CPULLM_THREADS");
-    std::string err;
-    EXPECT_TRUE(applyThreadsEnv(&err));
-    EXPECT_TRUE(err.empty());
-}
-
-TEST(ApplyThreadsEnv, ValidValueCapsThreads)
-{
-    ParallelConfigGuard guard;
-    ::setenv("CPULLM_THREADS", "1", 1);
-    EXPECT_TRUE(applyThreadsEnv());
-    EXPECT_EQ(hardwareThreads(), 1u);
-    ::setenv("CPULLM_THREADS", "0", 1); // 0 = hardware default
-    EXPECT_TRUE(applyThreadsEnv());
-    ::unsetenv("CPULLM_THREADS");
-}
-
-TEST(ApplyThreadsEnv, MalformedValueIsRejected)
-{
-    ParallelConfigGuard guard;
-    for (const char* bad : {"abc", "4cores", "-2", ""}) {
-        ::setenv("CPULLM_THREADS", bad, 1);
-        std::string err;
-        const bool ok = applyThreadsEnv(&err);
-        if (bad[0] == '\0') {
-            EXPECT_TRUE(ok); // empty counts as unset
-        } else {
-            EXPECT_FALSE(ok) << "value '" << bad << "'";
-            EXPECT_EQ(err, bad);
-        }
-    }
-    ::unsetenv("CPULLM_THREADS");
-}
-
 TEST(ParallelBackendKnob, RoundTrips)
 {
     ParallelConfigGuard guard;

@@ -1,68 +1,12 @@
 /**
  * @file
- * cpullm command-line driver.
- *
- *   cpullm run --model opt-13b --platform spr --batch 8 [--prompt N]
- *              [--gen N] [--dtype bf16|i8] [--json] [--attribution]
- *              [--trace-out F] [--report-out F] [--profile-hz HZ]
- *              [--profile-out F] [--profile-reps N]
- *              [--flightrec-out F] [--flightrec-events N]
- *              [--batching static|continuous] [--batch-max B]
- *              [--kv-blocks N] [--prefix-cache on|off]
- *   cpullm serve --model opt-13b [--device cpu|gpu] [--rate R]
- *                [--requests N] [--max-batch B] [--continuous]
- *                [--batching static|continuous] [--batch-max B]
- *                [--kv-blocks N] [--prefix-cache on|off]
- *                [--trace-out F] [--report-out F] [--json]
- *                [--telemetry-port P] [--prom-out F] [--linger S]
- *                [--probe] [--slo-ttft-ms X] [--slo-tpot-ms X]
- *                [--slo-e2e-ms X] [--slo-budget R]
- *   cpullm report --model opt-13b [serve flags] [--report-out F]
- *   cpullm profile [--collapsed F] [--flightrec F]
- *                  [--perfetto-out F] [--top N] [--json]
- *   cpullm compare --model opt-66b --batch 1
- *   cpullm bench [--out DIR] [--quick] [--threads N]
- *   cpullm counters [--model tiny] [--platform spr] [--batch N]
- *                   [--prompt N] [--gen N] [--counters MODE]
- *                   [--json] [--out F] [--threads N]
- *   cpullm findings
- *   cpullm list
- *
- * Host thread cap: CPULLM_THREADS=N applies to every command
- * (malformed values are usage errors, exit 2); serve/bench also
- * accept --threads N, which overrides the env var. 0 means the
- * hardware default.
- *
- * Hardware counters: CPULLM_COUNTERS=auto|perf|soft|off (same exit-2
- * contract) selects the measured-counter backend for any command;
- * run/serve/bench/counters also accept --counters MODE, which
- * overrides the env var. Default off except for `counters`, which
- * defaults to auto. `counters` executes the functional host path
- * under measurement and prints the measured-vs-analytical side-by-
- * side (IPC, LLC MPKI, GB/s) with relative errors and the paper's
- * Fig 11/12 trend verdicts.
- *
- * Weight quantization: CPULLM_WQUANT=bf16|int8|int4 (same exit-2
- * contract) selects weight-only quantization of the model's weight
- * caches — group-wise INT8/INT4 with dequantization fused into the
- * packed GEMM/GEMV kernels; run/serve/bench also accept --wquant,
- * which overrides the env var. Quantization shrinks modeled weight
- * traffic accordingly (unless --dtype is explicit) and accuracy is
- * tracked as host.quant.* stats and cpullm_host_quant_* gauges.
- *
- * Continuous batching on the real host decode path: `run --batching
- * continuous` additionally executes the workload through
- * serve::ContinuousBatcher — iteration-level scheduling over a
- * paged-KV block pool, fusing the in-flight sequences into one
- * ragged decode step per iteration (bitwise equal to sequential
- * decode). --batch-max / --kv-blocks / --prefix-cache (env:
- * CPULLM_BATCH_MAX / CPULLM_KV_BLOCKS / CPULLM_PREFIX_CACHE, same
- * exit-2 contract) size the runtime; results surface as host.batch.*
- * run-report metrics and cpullm_host_batch_* /metrics gauges. On
- * `serve`, --batching continuous selects the continuous-batching
- * simulator policy AND drives a small host session (the model must be
- * small enough for functional execution) so the live telemetry
- * exports the real scheduler's counters.
+ * cpullm command-line driver; `cpullm --help` lists the commands and
+ * their flags. The runtime knobs (threads, counters, weight quant,
+ * batcher sizing, log level) come from the option table in
+ * core/runtime_options.h: main() resolves them once per invocation,
+ * from the env vars and the command's knob flags, generates the knob
+ * block of --help from the same table, and passes the result to the
+ * command.
  *
  * `run` simulates one request on a CPU platform; `serve` runs the
  * serving simulator (static or continuous batching, CPU or GPU
@@ -75,8 +19,20 @@
  * `report` is `serve` with the machine-readable report on stdout;
  * `compare` pits the SPR CPU against both GPUs; `bench` sweeps the
  * figure experiments into BENCH_*.json baselines (see bench_diff);
- * `findings` validates the paper's five key findings; `list` shows
- * known models and platforms.
+ * `counters` executes the functional host path under measured
+ * hardware counters and prints the measured-vs-analytical side by
+ * side (IPC, LLC MPKI, GB/s) with the paper's Fig 11/12 trend
+ * verdicts; `findings` validates the paper's five key findings;
+ * `list` shows known models and platforms.
+ *
+ * `run --batching continuous` additionally executes the workload
+ * through serve::ContinuousBatcher: iteration-level scheduling over a
+ * paged-KV block pool, fusing the in-flight sequences into one ragged
+ * decode step per iteration (bitwise equal to sequential decode). On
+ * `serve`, --batching continuous selects the continuous-batching
+ * simulator policy AND drives a small host session (the model must be
+ * small enough for functional execution) so the live telemetry
+ * exports the real scheduler's counters.
  *
  * Observability: --profile-hz samples every registered thread's
  * logical stack with the SIGPROF sampling profiler (obs/profiler.h)
@@ -88,11 +44,10 @@
  * --flightrec-burn-rate — on SLO incidents. Both switches put `run`
  * in functional execution mode (real kernels on the thread pool),
  * since samples and span events need actual CPU work.
- * CPULLM_LOG_LEVEL=silent|warn|info|debug sets verbosity (same
- * exit-2 contract as the other env knobs).
  *
- * Bad invocations — unknown command, unknown flag, missing value —
- * print an error pointing at --help and exit with status 2.
+ * Bad invocations — unknown command, unknown flag, missing value,
+ * malformed knob — print an error pointing at --help and exit with
+ * status 2.
  */
 
 #include <algorithm>
@@ -114,7 +69,6 @@
 #include "core/cpullm.h"
 #include "obs/flight_recorder.h"
 #include "obs/profiler.h"
-#include "util/parallel.h"
 #include "util/thread_registry.h"
 
 using namespace cpullm;
@@ -132,6 +86,8 @@ usageError(const std::string& msg)
               << "\nrun 'cpullm --help' for usage\n";
     std::exit(kUsageExit);
 }
+
+using Flags = core::FlagValues;
 
 /** Flags that take no value. */
 bool
@@ -222,58 +178,6 @@ intFlag(const std::map<std::string, std::string>& flags,
 }
 
 /**
- * Cap host threads from --threads (0 = hardware default). The env
- * var CPULLM_THREADS is applied first in main(); the flag wins when
- * both are given.
- */
-void
-applyThreadsFlag(const std::map<std::string, std::string>& flags)
-{
-    if (!flags.count("threads"))
-        return;
-    const std::int64_t n = intFlag(flags, "threads", 0);
-    if (n < 0)
-        usageError("--threads expects a non-negative integer");
-    setMaxThreads(static_cast<std::size_t>(n));
-}
-
-/**
- * Select the measured-counter mode from --counters (overriding the
- * CPULLM_COUNTERS env var, which main() applies first). Malformed
- * values are usage errors, exit 2 — matching --threads.
- */
-void
-applyCountersFlag(const std::map<std::string, std::string>& flags)
-{
-    auto it = flags.find("counters");
-    if (it == flags.end())
-        return;
-    obs::pmu::Mode m;
-    if (!obs::pmu::modeFromString(it->second, &m))
-        usageError("--counters expects auto|perf|soft|off, got '" +
-                   it->second + "'");
-    obs::pmu::setRequestedMode(m);
-}
-
-/**
- * Select the weight-only quantization from --wquant (overriding the
- * CPULLM_WQUANT env var, which main() applies first). Malformed
- * values are usage errors, exit 2 — matching --threads/--counters.
- */
-void
-applyWquantFlag(const std::map<std::string, std::string>& flags)
-{
-    auto it = flags.find("wquant");
-    if (it == flags.end())
-        return;
-    gemm::WeightDtype d;
-    if (!gemm::weightDtypeFromName(it->second, &d))
-        usageError("--wquant expects bf16|int8|int4, got '" +
-                   it->second + "'");
-    gemm::setRequestedWeightDtype(d);
-}
-
-/**
  * The --batching mode (strictly static|continuous, exit 2
  * otherwise); @p fallback when the flag is absent.
  */
@@ -286,46 +190,6 @@ batchingFlag(const std::map<std::string, std::string>& flags,
         usageError("--batching expects static|continuous, got '" + v +
                    "'");
     return v;
-}
-
-/**
- * Continuous-batching runtime config: the CPULLM_BATCH_MAX /
- * CPULLM_KV_BLOCKS / CPULLM_PREFIX_CACHE env vars (applied in
- * main()) overridden by --batch-max / --kv-blocks / --prefix-cache.
- * Malformed values are usage errors, exit 2 — matching
- * --threads/--counters/--wquant. The result also becomes the
- * process-wide requested config.
- */
-serve::BatcherConfig
-batcherConfigFromFlags(const std::map<std::string, std::string>& flags)
-{
-    serve::BatcherConfig cfg = serve::requestedBatcherConfig();
-    if (flags.count("batch-max")) {
-        const std::int64_t v = intFlag(flags, "batch-max",
-                                       cfg.maxBatch);
-        if (v < 1)
-            usageError("--batch-max expects a positive integer");
-        cfg.maxBatch = v;
-    }
-    if (flags.count("kv-blocks")) {
-        const std::int64_t v = intFlag(flags, "kv-blocks",
-                                       cfg.numBlocks);
-        if (v < 1)
-            usageError("--kv-blocks expects a positive integer");
-        cfg.numBlocks = v;
-    }
-    if (flags.count("prefix-cache")) {
-        const std::string& v = flags.at("prefix-cache");
-        if (v == "on")
-            cfg.prefixCache = true;
-        else if (v == "off")
-            cfg.prefixCache = false;
-        else
-            usageError("--prefix-cache expects on|off, got '" + v +
-                       "'");
-    }
-    serve::setRequestedBatcherConfig(cfg);
-    return cfg;
 }
 
 /** host.batch.* run-report metrics of one continuous-batching host
@@ -362,19 +226,19 @@ addHostBatchMetrics(obs::RunReport& report,
 }
 
 /**
- * RAII pmu::Session for one command: begins with the requested mode
- * (no-op when Off) and ends on scope exit. Accumulated slots survive
- * end() for harvesting.
+ * RAII pmu::Session for one command: begins with @p mode (no-op when
+ * Off) and ends on scope exit. Accumulated slots survive end() for
+ * harvesting.
  */
 class CountersSessionGuard
 {
   public:
-    CountersSessionGuard()
+    explicit CountersSessionGuard(obs::pmu::Mode mode)
     {
         obs::pmu::Session& s = obs::pmu::Session::instance();
-        if (obs::pmu::requestedMode() != obs::pmu::Mode::Off) {
+        if (mode != obs::pmu::Mode::Off) {
             s.clearSlots();
-            backend_ = s.begin(obs::pmu::requestedMode());
+            backend_ = s.begin(mode);
         }
     }
     ~CountersSessionGuard() { obs::pmu::Session::instance().end(); }
@@ -407,11 +271,11 @@ workloadFromFlags(const std::map<std::string, std::string>& flags)
  */
 void
 applyWquantToWorkload(const std::map<std::string, std::string>& flags,
-                      perf::Workload* w)
+                      gemm::WeightDtype wquant, perf::Workload* w)
 {
     if (flags.count("dtype"))
         return;
-    switch (gemm::requestedWeightDtype()) {
+    switch (wquant) {
       case gemm::WeightDtype::I8Grouped:
         w->dtype = DType::I8;
         break;
@@ -556,21 +420,10 @@ printProfileReport(std::ostream& os, const obs::prof::FoldedProfile& p,
 }
 
 int
-cmdRun(int argc, char** argv)
+cmdRun(const Flags& flags, const core::RuntimeOptions& rt)
 {
-    const auto flags = parseFlags(
-        argc, argv, 2,
-        withWorkloadFlags({"model", "platform", "json", "attribution",
-                           "trace-out", "report-out", "counters",
-                           "wquant", "profile-hz", "profile-out",
-                           "profile-reps", "flightrec-out",
-                           "flightrec-events", "batching", "batch-max",
-                           "kv-blocks", "prefix-cache"}));
-    applyCountersFlag(flags);
-    applyWquantFlag(flags);
     const bool continuous = batchingFlag(flags, "static") ==
                             "continuous";
-    const serve::BatcherConfig bcfg = batcherConfigFromFlags(flags);
     // Observed runs (profiler or flight recorder) and continuous
     // batching execute the functional host path: real kernels on the
     // thread pool, so SIGPROF samples, span events and the fused
@@ -584,7 +437,7 @@ cmdRun(int argc, char** argv)
     const auto platform =
         hw::platformByName(flagOr(flags, "platform", "spr"));
     perf::Workload w = workloadFromFlags(flags);
-    applyWquantToWorkload(flags, &w);
+    applyWquantToWorkload(flags, rt.wquant, &w);
     if (observed) {
         if (!flags.count("prompt"))
             w.promptLen = 32;
@@ -609,11 +462,12 @@ cmdRun(int argc, char** argv)
     engine::CpuInferenceEngine eng(
         platform, spec,
         observed ? engine::ExecutionMode::FunctionalAndTiming
-                 : engine::ExecutionMode::TimingOnly);
+                 : engine::ExecutionMode::TimingOnly,
+        engine::CpuInferenceEngine::kDefaultSeed, rt.wquant);
     obs::Tracer tracer;
     if (flags.count("trace-out"))
         eng.setTracer(&tracer);
-    CountersSessionGuard pmu;
+    CountersSessionGuard pmu(rt.counters);
     obs::pmu::CounterScope pmu_scope("run");
     auto r = eng.infer(w);
     for (std::int64_t rep = 1; rep < reps; ++rep)
@@ -623,7 +477,7 @@ cmdRun(int argc, char** argv)
     // HostBatchSnapshot the telemetry layer exports.
     engine::HostBatchResult hb;
     if (continuous)
-        hb = eng.runContinuousBatch(w, bcfg);
+        hb = eng.runContinuousBatch(w, rt.batcher);
     pmu_scope.close();
     const obs::pmu::PmuCounts measured = pmu_scope.counts();
 
@@ -913,34 +767,19 @@ probeTelemetry(int port)
 }
 
 int
-cmdServe(int argc, char** argv, bool report_mode)
+cmdServe(const Flags& flags, const core::RuntimeOptions& rt,
+         bool report_mode)
 {
-    const auto flags = parseFlags(
-        argc, argv, 2,
-        withWorkloadFlags(
-            {"model", "device", "gpu", "platform", "rate",
-             "requests", "max-batch", "max-wait", "seed",
-             "continuous", "batching", "batch-max", "kv-blocks",
-             "prefix-cache", "json", "trace-out", "report-out",
-             "telemetry-port", "prom-out", "linger", "probe",
-             "slo-ttft-ms", "slo-tpot-ms", "slo-e2e-ms",
-             "slo-budget", "threads", "counters", "wquant",
-             "profile-hz", "profile-out", "flightrec-out",
-             "flightrec-events", "flightrec-zscore",
-             "flightrec-burn-rate"}));
-    applyThreadsFlag(flags);
-    applyCountersFlag(flags);
-    applyWquantFlag(flags);
     setupFlightRecorder(flags);
     const bool profiling = setupProfiler(flags);
     const bool flightrec_on = flags.count("flightrec-out") != 0;
     // Live for the whole serve run: the telemetry /metrics endpoint
     // exports cpullm_host_pmu_* gauges while the session is active.
-    CountersSessionGuard pmu;
+    CountersSessionGuard pmu(rt.counters);
     const auto spec =
         model::modelByName(flagOr(flags, "model", "opt-13b"));
     perf::Workload w = workloadFromFlags(flags);
-    applyWquantToWorkload(flags, &w);
+    applyWquantToWorkload(flags, rt.wquant, &w);
     w.batch = 1; // per-request workload; the server forms batches
 
     // --batching continuous selects the continuous-batching simulator
@@ -958,7 +797,6 @@ cmdServe(int argc, char** argv, bool report_mode)
                        "--continuous");
         continuous = host_batch;
     }
-    const serve::BatcherConfig bcfg = batcherConfigFromFlags(flags);
     if (host_batch &&
         spec.weightBytes(w.dtype) > engine::kMaxFunctionalWeightBytes)
         usageError("model '" + spec.name +
@@ -1088,11 +926,12 @@ cmdServe(int argc, char** argv, bool report_mode)
             // scrapes during the (much longer) simulation.
             engine::CpuInferenceEngine heng(
                 platform, spec,
-                engine::ExecutionMode::FunctionalAndTiming);
+                engine::ExecutionMode::FunctionalAndTiming,
+                engine::CpuInferenceEngine::kDefaultSeed, rt.wquant);
             perf::Workload hw_w = w;
             hw_w.batch = std::max<std::int64_t>(
-                1, std::min(cfg.numRequests, 2 * bcfg.maxBatch));
-            hostres = heng.runContinuousBatch(hw_w, bcfg);
+                1, std::min(cfg.numRequests, 2 * rt.batcher.maxBatch));
+            hostres = heng.runContinuousBatch(hw_w, rt.batcher);
         }
         if (continuous) {
             policy = "continuous batching";
@@ -1249,11 +1088,8 @@ cmdServe(int argc, char** argv, bool report_mode)
  * artifact is a data error (exit 1), not a usage error.
  */
 int
-cmdProfile(int argc, char** argv)
+cmdProfile(const Flags& flags, const core::RuntimeOptions&)
 {
-    const auto flags = parseFlags(argc, argv, 2,
-                                  {"collapsed", "flightrec",
-                                   "perfetto-out", "top", "json"});
     const bool have_collapsed = flags.count("collapsed") != 0;
     const bool have_dump = flags.count("flightrec") != 0;
     if (!have_collapsed && !have_dump)
@@ -1388,10 +1224,8 @@ cmdProfile(int argc, char** argv)
 }
 
 int
-cmdCompare(int argc, char** argv)
+cmdCompare(const Flags& flags, const core::RuntimeOptions&)
 {
-    const auto flags =
-        parseFlags(argc, argv, 2, withWorkloadFlags({"model"}));
     const auto spec =
         model::modelByName(flagOr(flags, "model", "opt-30b"));
     const perf::Workload w = workloadFromFlags(flags);
@@ -1434,20 +1268,9 @@ cmdCompare(int argc, char** argv)
  * core/bench_suite.h and tools/bench_diff).
  */
 int
-cmdBench(int argc, char** argv)
+cmdBench(const Flags& flags, const core::RuntimeOptions& rt)
 {
-    const auto flags = parseFlags(argc, argv, 2,
-                                  {"out", "quick", "threads",
-                                   "counters", "wquant", "batch-max",
-                                   "kv-blocks", "prefix-cache"});
-    applyThreadsFlag(flags);
-    applyCountersFlag(flags);
-    applyWquantFlag(flags);
-    // Validated and published for any host continuous-batching
-    // execution in this process (bench_host_batch_decode reads the
-    // same env knobs standalone).
-    batcherConfigFromFlags(flags);
-    CountersSessionGuard pmu;
+    CountersSessionGuard pmu(rt.counters);
     core::BenchSuiteOptions opt;
     opt.quick = flags.count("quick") != 0;
     const std::string dir = flagOr(flags, "out", "bench_results");
@@ -1515,17 +1338,9 @@ jsonTrend(double lhs, double rhs)
  * JSON null, and the command still exits 0.
  */
 int
-cmdCounters(int argc, char** argv)
+cmdCounters(const Flags& flags, const core::RuntimeOptions& rt)
 {
-    const auto flags = parseFlags(
-        argc, argv, 2,
-        withWorkloadFlags({"model", "platform", "counters", "json",
-                           "out", "threads"}));
-    applyThreadsFlag(flags);
-    applyCountersFlag(flags);
-    if (!flags.count("counters") && !obs::pmu::countersEnvPresent())
-        obs::pmu::setRequestedMode(obs::pmu::Mode::Auto);
-    if (obs::pmu::requestedMode() == obs::pmu::Mode::Off)
+    if (rt.counters == obs::pmu::Mode::Off)
         usageError("'counters' needs a live backend; use --counters "
                    "auto|perf|soft");
 
@@ -1546,12 +1361,12 @@ cmdCounters(int argc, char** argv)
                    "use a small model (e.g. --model tiny)");
 
     engine::CpuInferenceEngine eng(
-        platform, spec, engine::ExecutionMode::FunctionalAndTiming);
+        platform, spec, engine::ExecutionMode::FunctionalAndTiming,
+        engine::CpuInferenceEngine::kDefaultSeed, rt.wquant);
 
     obs::pmu::Session& session = obs::pmu::Session::instance();
     session.clearSlots();
-    const obs::pmu::Backend backend =
-        session.begin(obs::pmu::requestedMode());
+    const obs::pmu::Backend backend = session.begin(rt.counters);
     const auto r = eng.infer(w);
     const obs::pmu::PerfProbe probe = session.probe();
     const int hw_events = session.hardwareEventsOpen();
@@ -1619,7 +1434,7 @@ cmdCounters(int argc, char** argv)
             static_cast<long long>(w.batch),
             static_cast<long long>(w.promptLen),
             static_cast<long long>(w.genLen),
-            obs::pmu::modeName(obs::pmu::requestedMode()),
+            obs::pmu::modeName(rt.counters),
             backend_name.c_str(), probe.paranoid, hw_events,
             static_cast<unsigned long long>(groups),
             imc ? "true" : "false",
@@ -1721,7 +1536,7 @@ cmdCounters(int argc, char** argv)
 }
 
 int
-cmdFindings()
+cmdFindings(const Flags&, const core::RuntimeOptions&)
 {
     bool all = true;
     for (const auto& c : core::checkAllKeyFindings()) {
@@ -1734,7 +1549,7 @@ cmdFindings()
 }
 
 int
-cmdList()
+cmdList(const Flags&, const core::RuntimeOptions&)
 {
     std::cout << "models:\n";
     for (const auto& m : model::evaluatedModels()) {
@@ -1752,6 +1567,64 @@ cmdList()
     return 0;
 }
 
+/** One subcommand: the flags it accepts (knob flags included). */
+struct Command
+{
+    const char* name;
+    std::set<std::string> flags;
+    int (*run)(const Flags&, const core::RuntimeOptions&);
+};
+
+/** Flags of `serve` and `report`. */
+std::set<std::string>
+serveFlags()
+{
+    return withWorkloadFlags(
+        {"model", "device", "gpu", "platform", "rate", "requests",
+         "max-batch", "max-wait", "seed", "continuous", "batching",
+         "batch-max", "kv-blocks", "prefix-cache", "json", "trace-out",
+         "report-out", "telemetry-port", "prom-out", "linger", "probe",
+         "slo-ttft-ms", "slo-tpot-ms", "slo-e2e-ms", "slo-budget",
+         "threads", "counters", "wquant", "profile-hz", "profile-out",
+         "flightrec-out", "flightrec-events", "flightrec-zscore",
+         "flightrec-burn-rate"});
+}
+
+const std::vector<Command>&
+commands()
+{
+    static const std::vector<Command> kCommands = {
+        {"run",
+         withWorkloadFlags({"model", "platform", "json", "attribution",
+                            "trace-out", "report-out", "counters",
+                            "wquant", "profile-hz", "profile-out",
+                            "profile-reps", "flightrec-out",
+                            "flightrec-events", "batching",
+                            "batch-max", "kv-blocks", "prefix-cache"}),
+         cmdRun},
+        {"serve", serveFlags(),
+         [](const Flags& f, const core::RuntimeOptions& rt) {
+             return cmdServe(f, rt, /*report_mode=*/false);
+         }},
+        {"report", serveFlags(),
+         [](const Flags& f, const core::RuntimeOptions& rt) {
+             return cmdServe(f, rt, /*report_mode=*/true);
+         }},
+        {"profile",
+         {"collapsed", "flightrec", "perfetto-out", "top", "json"},
+         cmdProfile},
+        {"compare", withWorkloadFlags({"model"}), cmdCompare},
+        {"bench", {"out", "quick", "threads", "counters"}, cmdBench},
+        {"counters",
+         withWorkloadFlags({"model", "platform", "counters", "json",
+                            "out", "threads"}),
+         cmdCounters},
+        {"findings", {}, cmdFindings},
+        {"list", {}, cmdList},
+    };
+    return kCommands;
+}
+
 void
 usage()
 {
@@ -1759,25 +1632,21 @@ usage()
         << "usage: cpullm <command> [flags]\n"
            "  run      --model M --platform P --batch N [--prompt N]\n"
            "           [--gen N] [--dtype bf16|i8] [--json]\n"
-           "           [--wquant bf16|int8|int4]\n"
            "           [--trace-out F] [--report-out F]\n"
            "           [--profile-hz HZ] [--profile-out F]\n"
            "           [--profile-reps N] [--flightrec-out F]\n"
            "           [--flightrec-events N]\n"
-           "           [--batching static|continuous] [--batch-max B]\n"
-           "           [--kv-blocks N] [--prefix-cache on|off]\n"
+           "           [--batching static|continuous]\n"
            "  serve    --model M [--device cpu|gpu] [--gpu a100|h100]\n"
            "           [--platform P] [--rate R] [--requests N]\n"
            "           [--max-batch B] [--max-wait S] [--seed N]\n"
            "           [--continuous] [--json]\n"
-           "           [--batching static|continuous] [--batch-max B]\n"
-           "           [--kv-blocks N] [--prefix-cache on|off]\n"
+           "           [--batching static|continuous]\n"
            "           [--trace-out F] [--report-out F]\n"
            "           [--telemetry-port P] [--prom-out F]\n"
            "           [--linger S] [--probe] [--slo-ttft-ms X]\n"
            "           [--slo-tpot-ms X] [--slo-e2e-ms X]\n"
-           "           [--slo-budget R] [--threads N]\n"
-           "           [--wquant bf16|int8|int4]\n"
+           "           [--slo-budget R]\n"
            "           [--profile-hz HZ] [--profile-out F]\n"
            "           [--flightrec-out F] [--flightrec-events N]\n"
            "           [--flightrec-zscore Z] [--flightrec-burn-rate R]\n"
@@ -1786,38 +1655,42 @@ usage()
            "           [--perfetto-out F] [--json]\n"
            "           report over profiling artifacts\n"
            "  compare  --model M --batch N [--prompt N] [--gen N]\n"
-           "  bench    [--out DIR] [--quick] [--threads N]\n"
-           "           [--wquant bf16|int8|int4] [--batch-max B]\n"
-           "           [--kv-blocks N] [--prefix-cache on|off]\n"
+           "  bench    [--out DIR] [--quick]\n"
            "           write BENCH_*.json baselines (bench_diff)\n"
            "  counters [--model tiny] [--platform P] [--batch N]\n"
-           "           [--prompt N] [--gen N] [--counters MODE]\n"
-           "           [--json] [--out F] [--threads N]\n"
+           "           [--prompt N] [--gen N] [--json] [--out F]\n"
            "           measured vs modeled hardware counters on the\n"
            "           functional host path\n"
            "  findings validate the paper's five key findings\n"
            "  list     known models and platforms\n"
            "\n"
-           "CPULLM_THREADS=N caps host worker threads for any\n"
-           "command (0 = hardware default); --threads overrides it.\n"
-           "CPULLM_COUNTERS=auto|perf|soft|off selects the measured\n"
-           "hardware-counter backend; --counters overrides it. The\n"
-           "perf backend needs perf_event_paranoid <= 2 and degrades\n"
-           "to the rusage-based soft backend otherwise.\n"
-           "CPULLM_WQUANT=bf16|int8|int4 selects weight-only\n"
-           "quantization of the model's weight caches (group-wise,\n"
-           "dequant fused into the GEMM/GEMV kernels); --wquant\n"
-           "overrides it. Accuracy is reported as host.quant.* stats\n"
-           "and cpullm_host_quant_* /metrics gauges.\n"
+           "runtime knobs: flag / env var: values (default). Every\n"
+           "command reads every env var; a flag, on the commands listed\n"
+           "for it, overrides its env var; a malformed value exits 2.\n";
+    for (const core::RuntimeOption& row : core::runtimeOptionTable()) {
+        std::string on;
+        for (const Command& c : commands()) {
+            if (row.flag != nullptr && c.flags.count(row.flag))
+                on += std::string(" ") + c.name;
+        }
+        std::cout << "  "
+                  << (row.flag ? "--" + std::string(row.flag) + " / "
+                               : std::string())
+                  << row.env << ": " << row.values << " ("
+                  << row.show(core::RuntimeOptions{}) << ")\n      "
+                  << row.help << "\n";
+        if (!on.empty())
+            std::cout << "      flag on:" << on << "\n";
+    }
+    std::cout
+        << "`counters` defaults --counters to auto. The perf backend\n"
+           "needs perf_event_paranoid <= 2 and degrades to the\n"
+           "rusage-based soft backend otherwise.\n"
            "--batching continuous runs the continuous-batching host\n"
            "runtime (iteration-level scheduling, paged-KV pool,\n"
-           "shared-prefix reuse) on the functional model;\n"
-           "CPULLM_BATCH_MAX / CPULLM_KV_BLOCKS /\n"
-           "CPULLM_PREFIX_CACHE=on|off size it (--batch-max /\n"
-           "--kv-blocks / --prefix-cache override). Results surface\n"
-           "as host.batch.* report metrics and cpullm_host_batch_*\n"
-           "/metrics gauges.\n"
-           "CPULLM_LOG_LEVEL=silent|warn|info|debug sets verbosity.\n"
+           "shared-prefix reuse) on the functional model; results\n"
+           "surface as host.batch.* report metrics and\n"
+           "cpullm_host_batch_* /metrics series.\n"
            "--profile-hz samples logical stacks with SIGPROF;\n"
            "--flightrec-out records the last N events and dumps them\n"
            "at exit, on crash, and (serve) on SLO incidents.\n";
@@ -1832,50 +1705,29 @@ main(int argc, char** argv)
         usage();
         return kUsageExit;
     }
-    {
-        std::string bad;
-        if (!applyThreadsEnv(&bad))
-            usageError("CPULLM_THREADS expects a non-negative "
-                       "integer, got '" + bad + "'");
-        if (!obs::pmu::applyCountersEnv(&bad))
-            usageError("CPULLM_COUNTERS expects auto|perf|soft|off, "
-                       "got '" + bad + "'");
-        if (!gemm::applyWquantEnv(&bad))
-            usageError("CPULLM_WQUANT expects bf16|int8|int4, got '" +
-                       bad + "'");
-        if (!serve::applyBatcherEnv(&bad))
-            usageError(bad);
-        applyLogLevelEnv();
-    }
-    // The main thread's registry slot: profiler samples and flight-
-    // recorder events on this thread attribute to "main".
-    threadreg::registerCurrentThread("main");
-    const std::string cmd = argv[1];
-    if (cmd == "run")
-        return cmdRun(argc, argv);
-    if (cmd == "serve")
-        return cmdServe(argc, argv, /*report_mode=*/false);
-    if (cmd == "report")
-        return cmdServe(argc, argv, /*report_mode=*/true);
-    if (cmd == "profile")
-        return cmdProfile(argc, argv);
-    if (cmd == "compare")
-        return cmdCompare(argc, argv);
-    if (cmd == "bench")
-        return cmdBench(argc, argv);
-    if (cmd == "counters")
-        return cmdCounters(argc, argv);
-    if (cmd == "findings") {
-        parseFlags(argc, argv, 2, {});
-        return cmdFindings();
-    }
-    if (cmd == "list") {
-        parseFlags(argc, argv, 2, {});
-        return cmdList();
-    }
-    if (cmd == "--help" || cmd == "-h" || cmd == "help") {
+    const std::string name = argv[1];
+    if (name == "--help" || name == "-h" || name == "help") {
         usage();
         return 0;
     }
-    usageError("unknown command '" + cmd + "'");
+    const auto& cmds = commands();
+    const auto cmd =
+        std::find_if(cmds.begin(), cmds.end(),
+                     [&](const Command& c) { return name == c.name; });
+    if (cmd == cmds.end())
+        usageError("unknown command '" + name + "'");
+    const Flags flags = parseFlags(argc, argv, 2, cmd->flags);
+    // Every command reads every knob's env var, so a malformed one
+    // fails even `cpullm list`. `counters` measures, so its counter
+    // backend defaults to auto.
+    core::RuntimeOptions defaults;
+    if (name == "counters")
+        defaults.counters = obs::pmu::Mode::Auto;
+    const core::RuntimeOptions rt =
+        core::resolveRuntimeOptions("cpullm", flags, defaults);
+    core::applyProcessWide(rt);
+    // The main thread's registry slot: profiler samples and flight-
+    // recorder events on this thread attribute to "main".
+    threadreg::registerCurrentThread("main");
+    return cmd->run(flags, rt);
 }
