@@ -271,6 +271,117 @@ TEST(RuntimeOptionTable, ApplyProcessWideSetsThreadCapAndLogLevel)
     EXPECT_EQ(logLevel(), prev);
 }
 
+/** Clears every knob's env var and restores the process-wide knobs. */
+class ProcessWideGuard
+{
+  public:
+    ~ProcessWideGuard()
+    {
+        setMaxThreads(0);
+        setLogLevel(level_);
+    }
+
+  private:
+    ClearedKnobEnv env_;
+    LogLevel level_ = logLevel();
+};
+
+/** What a program gets from its env: resolve, then apply process-wide. */
+void
+applyEnv(const RuntimeOptions& defaults = {})
+{
+    applyProcessWide(resolveRuntimeOptions("test", {}, defaults));
+}
+
+/** The usage error a malformed @p env value @p bad exits 2 with. */
+std::string
+malformedMessage(const char* env, const char* bad)
+{
+    return std::string("test: ") + env + " expects .*, got '" + bad + "'";
+}
+
+// The thread cap, log level and weight dtype, each through the whole
+// path a program takes from its env var.
+
+TEST(ApplyThreadsEnv, UnsetLeavesCapAlone)
+{
+    const ProcessWideGuard guard;
+    RuntimeOptions defaults;
+    defaults.threads = 1; // the caller's own cap
+    applyEnv(defaults);
+    EXPECT_EQ(hardwareThreads(), 1u);
+    ::setenv("CPULLM_THREADS", "", 1); // empty counts as unset
+    applyEnv(defaults);
+    EXPECT_EQ(hardwareThreads(), 1u);
+}
+
+TEST(ApplyThreadsEnv, MalformedValueIsRejected)
+{
+    const ProcessWideGuard guard;
+    for (const char* bad : {"abc", "4cores", "-2"}) {
+        EXPECT_EXIT(
+            {
+                ::setenv("CPULLM_THREADS", bad, 1);
+                applyEnv();
+            },
+            testing::ExitedWithCode(2),
+            malformedMessage("CPULLM_THREADS", bad))
+            << "value '" << bad << "'";
+    }
+}
+
+TEST(LogLevelEnv, AppliesValidValue)
+{
+    const ProcessWideGuard guard;
+    ::setenv("CPULLM_LOG_LEVEL", "debug", 1);
+    applyEnv();
+    EXPECT_EQ(logLevel(), LogLevel::Debug);
+}
+
+TEST(LogLevelEnv, UnsetAndEmptyLeaveLevelUntouched)
+{
+    const ProcessWideGuard guard;
+    RuntimeOptions defaults;
+    defaults.logLevel = LogLevel::Warn;
+    applyEnv(defaults);
+    EXPECT_EQ(logLevel(), LogLevel::Warn);
+    ::setenv("CPULLM_LOG_LEVEL", "", 1);
+    applyEnv(defaults);
+    EXPECT_EQ(logLevel(), LogLevel::Warn);
+}
+
+TEST(LogLevelEnvDeath, MalformedValueIsUsageErrorExit2)
+{
+    const ProcessWideGuard guard;
+    EXPECT_EXIT(
+        {
+            ::setenv("CPULLM_LOG_LEVEL", "loud", 1);
+            applyEnv();
+        },
+        testing::ExitedWithCode(2),
+        malformedMessage("CPULLM_LOG_LEVEL", "loud"));
+}
+
+TEST(WquantEnv, AppliesAndRejects)
+{
+    const ClearedKnobEnv env;
+    ::setenv("CPULLM_WQUANT", "int4", 1);
+    RuntimeOptions opts = resolveRuntimeOptions("test", {});
+    EXPECT_EQ(opts.wquant, gemm::WeightDtype::I4Grouped);
+    ::setenv("CPULLM_WQUANT", "garbage", 1);
+    EXPECT_EXIT(resolveRuntimeOptions("test", {}),
+                testing::ExitedWithCode(2),
+                malformedMessage("CPULLM_WQUANT", "garbage"));
+    // Malformed values must not clobber the previous selection.
+    const RuntimeOption* row = rowFor("CPULLM_WQUANT");
+    ASSERT_NE(row, nullptr);
+    EXPECT_FALSE(row->parse("garbage", &opts));
+    EXPECT_EQ(opts.wquant, gemm::WeightDtype::I4Grouped);
+    ::unsetenv("CPULLM_WQUANT");
+    EXPECT_EQ(resolveRuntimeOptions("test", {}).wquant,
+              gemm::WeightDtype::Native);
+}
+
 } // namespace
 } // namespace core
 } // namespace cpullm
