@@ -43,6 +43,7 @@
 #include "opt/numa_placement.h"
 #include "perf/cpu_model.h"
 #include "perf/workload.h"
+#include "serve/host_stats.h"
 #include "serve/serving_sim.h"
 #include "serve/telemetry.h"
 #include "stats/stats.h"

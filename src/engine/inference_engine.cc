@@ -208,7 +208,6 @@ CpuInferenceEngine::runContinuousBatch(const perf::Workload& workload,
                         .count();
     r.stats = batcher.stats();
     r.snapshot = serve::hostBatchSnapshot();
-    serve::recordHostBatchStats(stats_);
     stats_.scalar("engine.requests", "requests simulated") +=
         static_cast<double>(workload.batch);
     stats_.scalar("engine.tokens_generated",

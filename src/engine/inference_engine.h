@@ -146,8 +146,7 @@ class CpuInferenceEngine
      * chatbot-style: every request shares a system-prompt prefix of
      * half the prompt length with a unique tail, so --prefix-cache
      * has real blocks to reuse. Publishes the HostBatchSnapshot the
-     * telemetry layer exports and records host.batch.* into
-     * statistics().
+     * host-series table (serve/host_stats.h) exports.
      */
     HostBatchResult runContinuousBatch(const perf::Workload& workload,
                                        const serve::BatcherConfig& cfg);

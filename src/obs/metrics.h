@@ -5,7 +5,8 @@
  * @file
  * Machine-readable export of a stats::Registry: JSON (one object,
  * keyed by statistic name) and CSV (one row per statistic). Scalars
- * export value/samples, distributions mean/min/max/stddev/n, and
+ * export value/samples (kind "counter" for a monotonic one, else
+ * "scalar"), distributions mean/min/max/stddev/n, and
  * histograms interpolated p50/p95/p99 quantiles plus bucket counts —
  * the serving-simulator tail-latency surface.
  */
@@ -29,53 +30,6 @@ bool writeRegistryJsonFile(const std::string& path,
                            const stats::Registry& reg);
 bool writeRegistryCsvFile(const std::string& path,
                           const stats::Registry& reg);
-
-/**
- * Snapshot the process-wide host thread-pool counters (util's
- * ThreadPool) into @p reg as host.pool.* scalars. Lives here rather
- * than in util because the stats library sits above util in the
- * dependency order.
- */
-void recordHostPoolStats(stats::Registry& reg);
-
-/**
- * Snapshot the process-wide fused-attention kernel counters
- * (gemm::attnStats) into @p reg as host.attn.* scalars.
- */
-void recordHostAttnStats(stats::Registry& reg);
-
-/**
- * Snapshot the measured hardware-counter session (obs::pmu::Session)
- * into @p reg as host.pmu.* scalars. Non-destructive: slots stay
- * accumulated. Emitted keys:
- *
- *  - host.pmu.backend_perf    1 when the perf_event backend is live,
- *                             0 under the software fallback
- *  - host.pmu.hw_events       hardware events open per thread group
- *                             (0 in PMU-less VMs and under soft)
- *  - host.pmu.thread_groups   per-thread counter groups open
- *  - host.pmu.<slot>.*        per accumulated scope slot (prefill,
- *                             decode, ...): wall_ms, task_clock_ms,
- *                             cycles, instructions, llc_misses,
- *                             llc_references, branch_misses,
- *                             page_faults, context_switches, and the
- *                             derived ipc / llc_mpki / gbps.
- *
- * Fields the active backend cannot measure are stored as NaN and
- * export as JSON null / empty CSV cells. No-op when the session is
- * inactive and no slots were accumulated.
- */
-void recordHostPmuStats(stats::Registry& reg);
-
-/**
- * Snapshot the process-wide quantized-weight counters
- * (gemm::quantStats) into @p reg as host.quant.* scalars: prepared
- * tensor counts and footprints (packed vs the BF16 tiles they
- * replace, plus the derived bytes_ratio), fused-kernel call/byte
- * counts, and the dequantization error aggregates (max_abs_err,
- * rms_err). No-op when no quantized weights were prepared.
- */
-void recordHostQuantStats(stats::Registry& reg);
 
 } // namespace obs
 } // namespace cpullm

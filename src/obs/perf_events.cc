@@ -310,6 +310,9 @@ enum class EventSlot {
 
 struct Session::Impl
 {
+    /** When begin() activated the session: readAll()'s wall time. */
+    std::int64_t beginNs = monotonicNs();
+
 #if CPULLM_HAVE_PERF_EVENTS
     /** One per-thread counter group: leader fd + member slots. */
     struct Group
@@ -543,7 +546,6 @@ struct Session::Impl
     readPerf() const
     {
         PmuCounts total = PmuCounts::unavailable();
-        total.wallNs = 0.0;
         for (const Group& g : groups) {
             std::uint64_t buf[3 + 2 * 16];
             const ssize_t n = read(g.leaderFd, buf, sizeof buf);
@@ -609,7 +611,6 @@ struct Session::Impl
              double base_ctxsw)
     {
         PmuCounts c = PmuCounts::unavailable();
-        c.wallNs = 0.0;
         rusage ru;
         if (getrusage(RUSAGE_SELF, &ru) != 0)
             return c;
@@ -777,15 +778,17 @@ Session::readAll() const
     std::lock_guard<std::mutex> lock(mu_);
     if (!active_ || !impl_)
         return PmuCounts::unavailable();
+    PmuCounts c = PmuCounts::unavailable();
 #if CPULLM_HAVE_PERF_EVENTS
     if (backend_ == Backend::Perf)
-        return impl_->readPerf();
-    if (backend_ == Backend::Soft)
-        return Impl::readSoft(impl_->softBaseTaskClockNs,
-                              impl_->softBaseFaults,
-                              impl_->softBaseCtxSw);
+        c = impl_->readPerf();
+    else if (backend_ == Backend::Soft)
+        c = Impl::readSoft(impl_->softBaseTaskClockNs,
+                           impl_->softBaseFaults,
+                           impl_->softBaseCtxSw);
 #endif
-    return PmuCounts::unavailable();
+    c.wallNs = static_cast<double>(monotonicNs() - impl_->beginNs);
+    return c;
 }
 
 void

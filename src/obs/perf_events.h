@@ -234,9 +234,10 @@ class Session
     bool imcOpen() const;
 
     /**
-     * Instantaneous totals since begin(): sum of every thread
-     * group's multiplex-corrected counts (Perf) or process rusage
-     * (Soft). All-NaN when Disabled/inactive.
+     * Instantaneous totals since begin(): the wall time since
+     * begin(), and the sum of every thread group's
+     * multiplex-corrected counts (Perf) or process rusage (Soft).
+     * All-NaN when Disabled/inactive.
      */
     PmuCounts readAll() const;
 

@@ -148,8 +148,16 @@ writePrometheus(std::ostream& os, const stats::Registry& reg,
         const std::string& desc = reg.description(name);
         switch (reg.kind(name)) {
           case stats::StatKind::Scalar: {
-            writePromHeader(os, base, desc, "gauge");
-            writePromSample(os, base, {}, reg.getScalar(name).value());
+            const double v = reg.getScalar(name).value();
+            if (!std::isfinite(v))
+                break;
+            if (reg.isCounter(name)) {
+                writePromHeader(os, base + "_total", desc, "counter");
+                writePromSample(os, base + "_total", {}, v);
+            } else {
+                writePromHeader(os, base, desc, "gauge");
+                writePromSample(os, base, {}, v);
+            }
             break;
           }
           case stats::StatKind::Distribution: {

@@ -9,7 +9,10 @@
  * and the telemetry_check ctest prove every exposition we serve is
  * scrapeable without pulling in a Prometheus client library.
  *
- * Mapping: Scalar -> gauge; Distribution -> a small gauge family
+ * Mapping: Scalar -> gauge, or `counter` with a `_total` suffix when
+ * the registry marks it monotonic (stats::Registry::counter); a
+ * non-finite scalar (an unmeasurable value) is left out, an absent
+ * series rather than a fake zero. Distribution -> a small gauge family
  * (_mean/_min/_max/_stddev/_count); Histogram -> a native Prometheus
  * histogram with cumulative `_bucket{le="..."}` series (downsampled
  * to a bounded number of boundaries), `_sum` and `_count`. Stat

@@ -31,55 +31,6 @@ hostBatchSnapshot()
     return g_snapshot;
 }
 
-void
-recordHostBatchStats(stats::Registry& reg)
-{
-    const HostBatchSnapshot s = hostBatchSnapshot();
-    if (!s.valid)
-        return;
-    auto set = [&reg](const char* name, const char* desc, double v) {
-        reg.scalar(name, desc).set(v);
-    };
-    set("host.batch.steps", "fused ragged decode steps",
-        static_cast<double>(s.stats.steps));
-    set("host.batch.decoded_tokens",
-        "tokens produced by fused decode steps",
-        static_cast<double>(s.stats.decodedTokens));
-    set("host.batch.prefill_tokens",
-        "prompt tokens prefilled (prefix-cache suffixes only)",
-        static_cast<double>(s.stats.prefillTokens));
-    set("host.batch.admitted", "sequence admissions incl. re-admits",
-        static_cast<double>(s.stats.admitted));
-    set("host.batch.retired", "sequences completed",
-        static_cast<double>(s.stats.retired));
-    set("host.batch.preemptions", "evict-and-requeue events",
-        static_cast<double>(s.stats.preemptions));
-    set("host.batch.admission_rejections",
-        "admissions refused because the paged pool was full",
-        static_cast<double>(s.stats.admissionRejections));
-    set("host.batch.prefix_hits",
-        "admissions that reused a cached prompt prefix",
-        static_cast<double>(s.stats.prefixHits));
-    set("host.batch.prefix_tokens_reused",
-        "prompt tokens served from shared prefix blocks",
-        static_cast<double>(s.stats.prefixTokensReused));
-    set("host.batch.mean_occupancy",
-        "mean in-flight sequences per fused decode step",
-        s.stats.meanOccupancy());
-    set("host.batch.peak_occupancy", "max in-flight sequences",
-        static_cast<double>(s.stats.peakOccupancy));
-    set("host.batch.kv_blocks_total", "paged-KV pool capacity",
-        static_cast<double>(s.blocksTotal));
-    set("host.batch.kv_blocks_in_use",
-        "paged-KV blocks held at publish time",
-        static_cast<double>(s.blocksInUse));
-    set("host.batch.kv_blocks_peak", "paged-KV pool high watermark",
-        static_cast<double>(s.peakBlocksInUse));
-    set("host.batch.kv_prefix_shared_blocks",
-        "paged-KV blocks reused via shared prefixes",
-        static_cast<double>(s.prefixSharedBlocks));
-}
-
 ContinuousBatcher::ContinuousBatcher(model::TransformerModel& model,
                                      const BatcherConfig& cfg)
     : model_(model), cfg_(cfg),

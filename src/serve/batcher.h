@@ -24,7 +24,6 @@
 
 #include "kv/paged_kv_cache.h"
 #include "model/transformer.h"
-#include "stats/stats.h"
 
 namespace cpullm {
 namespace serve {
@@ -53,8 +52,8 @@ struct BatchRequest
 };
 
 /**
- * Lifetime scheduler counters (exported as host.batch.* in run
- * reports and cpullm_host_batch_* Prometheus gauges).
+ * Lifetime scheduler counters (exported as host.batch.* through the
+ * host-series table, serve/host_stats.h).
  */
 struct BatchStats
 {
@@ -83,8 +82,8 @@ struct BatchStats
 /**
  * Point-in-time view of the continuous-batching runtime and its
  * paged pool, published process-wide by ContinuousBatcher::run() so
- * telemetry surfaces (/metrics gauges, run reports, `cpullm bench`
- * stat dumps) can export host.batch.* without owning the batcher.
+ * the host-series table (serve/host_stats.h) can export host.batch.*
+ * without owning the batcher.
  */
 struct HostBatchSnapshot
 {
@@ -104,13 +103,6 @@ void publishHostBatchStats(const HostBatchSnapshot& snap);
 
 /** Latest published snapshot (valid == false before the first). */
 HostBatchSnapshot hostBatchSnapshot();
-
-/**
- * Record the latest snapshot as host.batch.* scalars in @p reg
- * (no-op while no batcher has published), mirroring the
- * obs::recordHost*Stats family `cpullm bench` dumps.
- */
-void recordHostBatchStats(stats::Registry& reg);
 
 /**
  * The continuous-batching decode runtime. Typical use:

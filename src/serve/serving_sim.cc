@@ -5,12 +5,10 @@
 #include <map>
 #include <memory>
 
-#include "gemm/attention.h"
-#include "obs/metrics.h"
+#include "serve/host_stats.h"
 #include "serve/telemetry.h"
 #include "stats/stats.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -508,8 +506,7 @@ buildRunReport(const ServingResult& result, const ServingConfig& cfg,
         .set(result.utilization());
     reg.scalar("serve.mean_batch", "mean launched batch size")
         .set(result.meanBatchSize);
-    obs::recordHostPoolStats(reg);
-    obs::recordHostAttnStats(reg);
+    recordHostStats(reg);
 
     obs::RunReport report;
     report.kind = "serving";
@@ -540,26 +537,7 @@ buildRunReport(const ServingResult& result, const ServingConfig& cfg,
     quantiles("e2e", *e2e);
     quantiles("queueing", *queueing);
 
-    // Host-side execution counters: how much of the simulation's own
-    // compute ran on the persistent thread pool.
-    const ThreadPool::Stats pool = ThreadPool::instance().stats();
-    report.metrics["host_pool_size"] =
-        static_cast<double>(pool.poolSize);
-    report.metrics["host_pool_parallel_ops"] =
-        static_cast<double>(pool.parallelOps);
-    report.metrics["host_pool_tasks"] =
-        static_cast<double>(pool.tasks);
-    report.metrics["host_pool_steals"] =
-        static_cast<double>(pool.steals);
-    const gemm::AttnStats attn = gemm::attnStats();
-    report.metrics["host_attn_decode_calls"] =
-        static_cast<double>(attn.decodeCalls);
-    report.metrics["host_attn_prefill_calls"] =
-        static_cast<double>(attn.prefillCalls);
-    report.metrics["host_attn_tasks"] =
-        static_cast<double>(attn.tasks);
-    report.metrics["host_attn_span_rows"] =
-        static_cast<double>(attn.spanRows);
+    addHostMetrics(report, reg);
 
     // TPOT per request is (e2e - ttft) / (genLen - 1).
     if (per_request.genLen > 1) {

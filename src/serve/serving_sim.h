@@ -184,7 +184,9 @@ void traceServing(obs::Tracer& tracer, const ServingResult& result,
  * TTFT / E2E / queueing percentiles (p50/p95/p99) are sourced from
  * stats::Registry histograms registered into @p reg ("serve.ttft",
  * "serve.e2e", "serve.queueing", seconds), alongside throughput,
- * utilization, and batch-size metrics.
+ * utilization, and batch-size metrics. The host series
+ * (serve/host_stats.h) are recorded into @p reg and copied into the
+ * report under their `host.*` keys.
  */
 obs::RunReport buildRunReport(const ServingResult& result,
                               const ServingConfig& cfg,

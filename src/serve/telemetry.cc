@@ -4,15 +4,11 @@
 #include <cmath>
 #include <limits>
 
-#include "gemm/packed_weights.h"
-#include "serve/batcher.h"
-#include "obs/counters.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
+#include "serve/host_stats.h"
 #include "util/json.h"
-#include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace cpullm {
 namespace serve {
@@ -62,10 +58,10 @@ ServingTelemetry::ServingTelemetry(const Options& opt)
 {
     // Register the cumulative statistics up front so an early scrape
     // sees the full (zero-valued) metric surface, not a shifting one.
-    reg_.scalar("serve.live.arrivals", "requests enqueued");
-    reg_.scalar("serve.live.batches", "batches launched");
-    reg_.scalar("serve.live.completions", "requests finished");
-    reg_.scalar("serve.live.tokens", "output tokens generated");
+    reg_.counter("serve.live.arrivals", "requests enqueued");
+    reg_.counter("serve.live.batches", "batches launched");
+    reg_.counter("serve.live.completions", "requests finished");
+    reg_.counter("serve.live.tokens", "output tokens generated");
     reg_.distribution("serve.live.queue_depth",
                       "queued requests after each batch launch");
     reg_.distribution("serve.live.batch_occupancy",
@@ -285,21 +281,16 @@ ServingTelemetry::sloVerdicts() const
 void
 ServingTelemetry::writePrometheus(std::ostream& os) const
 {
+    stats::Registry host;
+    recordHostStats(host);
     std::lock_guard<std::mutex> lock(mu_);
-    obs::writePrometheus(os, reg_, {});
+    obs::writePrometheus(os, reg_);
+    obs::writePrometheus(os, host);
 
     const double now = now_;
-    auto series = [&](const char* type, const char* name,
-                      const char* help, double v) {
-        obs::writePromHeader(os, name, help, type);
-        obs::writePromSample(os, name, {}, v);
-    };
     auto gauge = [&](const char* name, const char* help, double v) {
-        series("gauge", name, help, v);
-    };
-    // Monotonic totals (the `_total` families).
-    auto counter = [&](const char* name, const char* help, double v) {
-        series("counter", name, help, v);
+        obs::writePromHeader(os, name, help, "gauge");
+        obs::writePromSample(os, name, {}, v);
     };
     gauge("cpullm_window_seconds", "trailing telemetry window",
           arrivals_.window());
@@ -309,166 +300,6 @@ ServingTelemetry::writePrometheus(std::ostream& os) const
           "windowed request completion rate", completions_.rate(now));
     gauge("cpullm_window_tokens_per_second",
           "windowed output-token throughput", tokens_.rate(now));
-
-    // Host execution counters: live view of the persistent thread
-    // pool driving the functional kernels under this server.
-    const ThreadPool::Stats pool = ThreadPool::instance().stats();
-    gauge("cpullm_host_pool_size", "persistent host worker threads",
-          static_cast<double>(pool.poolSize));
-    counter("cpullm_host_pool_parallel_ops_total",
-            "parallelFor calls executed on the host pool",
-            static_cast<double>(pool.parallelOps));
-    counter("cpullm_host_pool_tasks_total",
-            "loop indices executed via the host pool",
-            static_cast<double>(pool.tasks));
-    counter("cpullm_host_pool_steals_total",
-            "work chunks stolen between host workers",
-            static_cast<double>(pool.steals));
-
-    // Measured hardware counters, when a pmu::Session is live under
-    // this server (--counters). Fields the backend cannot measure
-    // are NaN and skipped — absent series, not fake zeros.
-    const obs::pmu::Session& pmu = obs::pmu::Session::instance();
-    if (pmu.active()) {
-        gauge("cpullm_host_pmu_backend_perf",
-              "1 when the perf_event backend is live, 0 under soft",
-              pmu.backend() == obs::pmu::Backend::Perf ? 1.0 : 0.0);
-        gauge("cpullm_host_pmu_thread_groups",
-              "per-thread perf counter groups open",
-              static_cast<double>(pmu.threadGroups()));
-        const obs::pmu::PmuCounts c = pmu.readAll();
-        auto finiteCounter = [&](const char* name, const char* help,
-                                 double v) {
-            if (std::isfinite(v))
-                counter(name, help, v);
-        };
-        finiteCounter("cpullm_host_pmu_task_clock_seconds_total",
-                      "measured CPU time across threads",
-                      c.taskClockNs / 1e9);
-        finiteCounter("cpullm_host_pmu_cycles_total",
-                      "measured core cycles", c.cycles);
-        finiteCounter("cpullm_host_pmu_instructions_total",
-                      "measured retired instructions", c.instructions);
-        finiteCounter("cpullm_host_pmu_llc_misses_total",
-                      "measured last-level cache misses", c.llcMisses);
-        finiteCounter("cpullm_host_pmu_llc_references_total",
-                      "measured last-level cache references",
-                      c.llcReferences);
-        finiteCounter("cpullm_host_pmu_branch_misses_total",
-                      "measured mispredicted branches", c.branchMisses);
-        finiteCounter("cpullm_host_pmu_page_faults_total",
-                      "measured minor+major page faults", c.pageFaults);
-        finiteCounter("cpullm_host_pmu_context_switches_total",
-                      "measured context switches", c.contextSwitches);
-        const obs::CounterMetrics m =
-            obs::deriveCounterMetrics(c, 0.0);
-        if (std::isfinite(m.ipc))
-            gauge("cpullm_host_pmu_ipc",
-                  "measured instructions per cycle", m.ipc);
-        if (std::isfinite(m.llcMpki))
-            gauge("cpullm_host_pmu_llc_mpki",
-                  "measured LLC misses per kilo-instruction", m.llcMpki);
-    }
-
-    // Quantized-weight counters, when --wquant / CPULLM_WQUANT put
-    // grouped INT8/INT4 weight caches behind the fused kernels.
-    const gemm::QuantStats qs = gemm::quantStats();
-    if (qs.tensors > 0) {
-        gauge("cpullm_host_quant_tensors",
-              "weight tensors quantized group-wise",
-              static_cast<double>(qs.tensors));
-        gauge("cpullm_host_quant_tensors_i4",
-              "of which nibble-packed INT4",
-              static_cast<double>(qs.tensorsI4));
-        gauge("cpullm_host_quant_packed_bytes",
-              "quantized weight bytes resident (codes + scales)",
-              static_cast<double>(qs.packedBytes));
-        gauge("cpullm_host_quant_native_bytes",
-              "packed BF16 tile bytes the quantized forms replace",
-              static_cast<double>(qs.nativeBytes));
-        if (qs.nativeBytes > 0) {
-            gauge("cpullm_host_quant_bytes_ratio",
-                  "packed / native weight bytes (lower is better)",
-                  static_cast<double>(qs.packedBytes) /
-                      static_cast<double>(qs.nativeBytes));
-        }
-        counter("cpullm_host_quant_gemm_calls_total",
-                "fused-dequant GEMM calls: every INT8 call, INT4 m > 1",
-                static_cast<double>(qs.gemmCalls));
-        counter("cpullm_host_quant_gemv_calls_total",
-                "fused INT4 decode GEMV calls (m == 1)",
-                static_cast<double>(qs.gemvCalls));
-        counter("cpullm_host_quant_bytes_streamed_total",
-                "packed weight bytes streamed by the fused kernels",
-                static_cast<double>(qs.bytesStreamed));
-        gauge("cpullm_host_quant_max_abs_err",
-              "worst per-weight dequantization error", qs.maxAbsErr);
-        gauge("cpullm_host_quant_rms_err",
-              "RMS dequantization error over all quantized weights",
-              qs.rmsErr);
-    }
-
-    // Continuous-batching counters, when a host ContinuousBatcher
-    // session has published (--batching continuous). Snapshots are
-    // refreshed every fused decode step, so a live scrape sees the
-    // in-flight occupancy, not just the final totals.
-    const HostBatchSnapshot hb = hostBatchSnapshot();
-    if (hb.valid) {
-        counter("cpullm_host_batch_steps_total",
-                "fused ragged decode steps executed",
-                static_cast<double>(hb.stats.steps));
-        counter("cpullm_host_batch_decoded_tokens_total",
-                "tokens produced by fused decode steps",
-                static_cast<double>(hb.stats.decodedTokens));
-        counter("cpullm_host_batch_prefill_tokens_total",
-                "prompt tokens prefilled (prefix-cache suffixes only)",
-                static_cast<double>(hb.stats.prefillTokens));
-        counter("cpullm_host_batch_admitted_total",
-                "sequence admissions incl. preemption re-admits",
-                static_cast<double>(hb.stats.admitted));
-        counter("cpullm_host_batch_retired_total",
-                "sequences completed",
-                static_cast<double>(hb.stats.retired));
-        counter("cpullm_host_batch_preemptions_total",
-                "evict-and-requeue events under pool pressure",
-                static_cast<double>(hb.stats.preemptions));
-        counter("cpullm_host_batch_admission_rejections_total",
-                "admissions refused because the paged pool was full",
-                static_cast<double>(hb.stats.admissionRejections));
-        counter("cpullm_host_batch_prefix_hits_total",
-                "admissions that reused a cached prompt prefix",
-                static_cast<double>(hb.stats.prefixHits));
-        counter("cpullm_host_batch_prefix_tokens_reused_total",
-                "prompt tokens served from shared prefix blocks",
-                static_cast<double>(hb.stats.prefixTokensReused));
-        gauge("cpullm_host_batch_live_sequences",
-              "sequences in flight at the last publish",
-              static_cast<double>(hb.liveSequences));
-        gauge("cpullm_host_batch_max_batch",
-              "configured in-flight sequence cap",
-              static_cast<double>(hb.maxBatch));
-        gauge("cpullm_host_batch_mean_occupancy",
-              "mean in-flight sequences per fused decode step",
-              hb.stats.meanOccupancy());
-        gauge("cpullm_host_batch_peak_occupancy",
-              "max in-flight sequences",
-              static_cast<double>(hb.stats.peakOccupancy));
-        gauge("cpullm_host_batch_kv_blocks_capacity",
-              "paged-KV pool capacity in blocks",
-              static_cast<double>(hb.blocksTotal));
-        gauge("cpullm_host_batch_kv_block_size",
-              "paged-KV tokens per block",
-              static_cast<double>(hb.blockSize));
-        gauge("cpullm_host_batch_kv_blocks_in_use",
-              "paged-KV blocks held at the last publish",
-              static_cast<double>(hb.blocksInUse));
-        gauge("cpullm_host_batch_kv_blocks_peak",
-              "paged-KV pool high watermark",
-              static_cast<double>(hb.peakBlocksInUse));
-        gauge("cpullm_host_batch_kv_prefix_shared_blocks",
-              "paged-KV blocks reused via shared prefixes",
-              static_cast<double>(hb.prefixSharedBlocks));
-    }
 
     auto gaugeStats = [&](const char* name, const char* help,
                           const obs::WindowedGauge& g) {
@@ -562,6 +393,8 @@ ServingTelemetry::windowJsonLocked(std::ostream& os) const
 void
 ServingTelemetry::writeStatsJson(std::ostream& os) const
 {
+    stats::Registry host;
+    recordHostStats(host);
     std::lock_guard<std::mutex> lock(mu_);
     os << "{\"now_s\":" << jsonNumber(now_) << ",\"completed\":"
        << completed_ << ",\"window\":";
@@ -590,6 +423,8 @@ ServingTelemetry::writeStatsJson(std::ostream& os) const
     }
     os << "],\"stats\":";
     obs::writeRegistryJson(os, reg_);
+    os << ",\"host\":";
+    obs::writeRegistryJson(os, host);
     os << "}";
 }
 

@@ -155,11 +155,12 @@ class ServingTelemetry
     /** Incident reasons fired so far, in firing order. */
     std::vector<std::string> incidents() const;
 
-    /** Prometheus 0.0.4 exposition: cumulative registry + windowed
-     *  gauges + SLO series. */
+    /** Prometheus 0.0.4 exposition: cumulative registry, the host
+     *  series (serve/host_stats.h), windowed gauges and SLO series. */
     void writePrometheus(std::ostream& os) const;
 
-    /** JSON view: cumulative stats, windowed aggregates, SLO block. */
+    /** JSON view: cumulative stats, windowed aggregates, SLO block,
+     *  and the host-series registry under "host". */
     void writeStatsJson(std::ostream& os) const;
 
     /** Add the SLO verdict block (slo_* metrics, met/violated info

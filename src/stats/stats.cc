@@ -177,6 +177,14 @@ Registry::scalar(const std::string& name, const std::string& desc)
     return *e.scalar;
 }
 
+Scalar&
+Registry::counter(const std::string& name, const std::string& desc)
+{
+    Scalar& s = scalar(name, desc);
+    entries_[name].counter = true;
+    return s;
+}
+
 Distribution&
 Registry::distribution(const std::string& name, const std::string& desc)
 {
@@ -256,6 +264,13 @@ Registry::kind(const std::string& name) const
     return StatKind::Histogram;
 }
 
+bool
+Registry::isCounter(const std::string& name) const
+{
+    auto it = entries_.find(name);
+    return it != entries_.end() && it->second.counter;
+}
+
 void
 Registry::resetAll()
 {
@@ -277,6 +292,7 @@ Registry::merge(const Registry& other)
         Entry& e = entries_[name];
         if (e.desc.empty())
             e.desc = oe.desc;
+        e.counter = e.counter || oe.counter;
         if (oe.scalar) {
             CPULLM_ASSERT(!e.dist && !e.hist,
                           "stat kind mismatch merging '", name, "'");
@@ -310,6 +326,7 @@ Registry::snapshot() const
     for (const auto& [name, e] : entries_) {
         Entry& ne = out.entries_[name];
         ne.desc = e.desc;
+        ne.counter = e.counter;
         if (e.scalar)
             ne.scalar = std::make_unique<Scalar>(*e.scalar);
         if (e.dist)

@@ -147,7 +147,11 @@ enum class StatKind { Scalar, Distribution, Histogram };
 
 /**
  * Owns named statistics. Names are hierarchical, dot-separated
- * ("engine.decode.tokens"); dump() emits them in sorted order.
+ * ("engine.decode.tokens"); dump() emits them in sorted order. A
+ * scalar registered through counter() is marked monotonic, so the
+ * exporters can type it as a counter (Prometheus `counter` with
+ * `_total`) instead of a gauge; the mark survives merge() and
+ * snapshot().
  *
  * Threading: recording through the references returned by
  * scalar()/distribution()/histogram() is NOT synchronized — each
@@ -162,6 +166,12 @@ class Registry
   public:
     /** Register (or fetch) a scalar by name. */
     Scalar& scalar(const std::string& name, const std::string& desc = "");
+
+    /**
+     * Register (or fetch) a scalar and mark it a monotonic counter:
+     * its value only grows over the registry's lifetime.
+     */
+    Scalar& counter(const std::string& name, const std::string& desc = "");
 
     /** Register (or fetch) a distribution by name. */
     Distribution& distribution(const std::string& name,
@@ -194,6 +204,9 @@ class Registry
     /** Kind of a registered statistic; panics if absent. */
     StatKind kind(const std::string& name) const;
 
+    /** True for a scalar registered through counter(). */
+    bool isCounter(const std::string& name) const;
+
     /** Reset all statistics to zero. */
     void resetAll();
 
@@ -225,6 +238,7 @@ class Registry
     struct Entry
     {
         std::string desc;
+        bool counter = false;
         std::unique_ptr<Scalar> scalar;
         std::unique_ptr<Distribution> dist;
         std::unique_ptr<Histogram> hist;

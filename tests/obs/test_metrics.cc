@@ -9,6 +9,7 @@
 
 #include "gemm/attention.h"
 #include "obs/perf_events.h"
+#include "serve/host_stats.h"
 #include "util/json.h"
 #include "util/parallel.h"
 #include "util/thread_pool.h"
@@ -141,10 +142,9 @@ TEST(HostPmuStats, RecordedFromSessionSlots)
     // No active session: nothing to record.
     {
         stats::Registry reg;
-        recordHostPmuStats(reg);
-        std::ostringstream os;
-        writeRegistryJson(os, reg);
-        EXPECT_EQ(os.str(), "{}");
+        serve::recordHostStats(reg);
+        for (const std::string& name : reg.names())
+            EXPECT_NE(name.rfind("host.pmu.", 0), 0u) << name;
     }
 
     ASSERT_EQ(session.begin(pmu::Mode::Soft), pmu::Backend::Soft);
@@ -157,9 +157,9 @@ TEST(HostPmuStats, RecordedFromSessionSlots)
     }
 
     stats::Registry reg;
-    recordHostPmuStats(reg);
+    serve::recordHostStats(reg);
     EXPECT_EQ(reg.getScalar("host.pmu.backend_perf").value(), 0.0);
-    EXPECT_GE(reg.getScalar("host.pmu.run.wall_ms").value(), 0.0);
+    EXPECT_GE(reg.getScalar("host.pmu.run.wall_seconds").value(), 0.0);
     // Hardware-only fields stay NaN under the software backend and
     // must survive the JSON export as null.
     std::ostringstream os;
@@ -180,7 +180,7 @@ TEST(HostPoolStats, RecordedAsScalars)
         sum.fetch_add(i, std::memory_order_relaxed);
     });
     stats::Registry reg;
-    recordHostPoolStats(reg);
+    serve::recordHostStats(reg);
     const ThreadPool::Stats s = ThreadPool::instance().stats();
     EXPECT_EQ(reg.getScalar("host.pool.size").value(),
               static_cast<double>(s.poolSize));
@@ -225,7 +225,7 @@ TEST(HostAttnStats, RecordedAsScalars)
     gemm::attnFusedRagged(shape, &slot, 1);
 
     stats::Registry reg;
-    recordHostAttnStats(reg);
+    serve::recordHostStats(reg);
     const gemm::AttnStats s = gemm::attnStats();
     EXPECT_GE(s.decodeCalls, 1u);
     EXPECT_EQ(reg.getScalar("host.attn.decode_calls").value(),

@@ -8,8 +8,11 @@
 #include <thread>
 #include <vector>
 
+#include "engine/inference_engine.h"
+#include "model/spec.h"
 #include "obs/prometheus.h"
 #include "serve/batcher.h"
+#include "serve/host_stats.h"
 #include "serve/serving_sim.h"
 #include "util/json.h"
 #include "util/string_util.h"
@@ -269,6 +272,49 @@ TEST(ServingTelemetry, ConcurrentReadersDuringHooks)
     for (auto& th : readers)
         th.join();
     EXPECT_EQ(t.completed(), 200u);
+}
+
+TEST(ServingTelemetry, ScrapesRaceBatcherPublication)
+{
+    // One thread runs the real batcher on INT8 weights, publishing a
+    // snapshot every step and moving the pool, attention and quant
+    // counters; this thread scrapes /metrics and the host table
+    // meanwhile. TSan builds catch races on the scrape path, and
+    // every scrape must stay a valid exposition.
+    const model::ModelSpec spec = model::tinyTestModel();
+    model::TransformerModel m(spec, gemm::Engine::AmxBf16, 33,
+                              gemm::WeightDtype::I8Grouped);
+    BatcherConfig cfg;
+    cfg.maxBatch = 3;
+    cfg.blockSize = 4;
+    cfg.numBlocks = 48;
+    ContinuousBatcher b(m, cfg);
+    for (std::uint64_t i = 0; i < 6; ++i)
+        b.submit({engine::syntheticPrompts(spec.vocabSize, 1, 7,
+                                           50 + i)[0],
+                  8});
+
+    ServingTelemetry t;
+    std::atomic<bool> done{false};
+    std::thread runner([&b, &done] {
+        b.run();
+        done.store(true);
+    });
+    int scrapes = 0;
+    do {
+        std::ostringstream os;
+        t.writePrometheus(os);
+        std::vector<std::string> errors;
+        EXPECT_TRUE(obs::promValid(os.str(), &errors))
+            << (errors.empty() ? os.str() : errors.front());
+        stats::Registry host;
+        recordHostStats(host);
+        EXPECT_TRUE(host.has("host.quant.gemm_calls"));
+        ++scrapes;
+    } while (!done.load());
+    runner.join();
+    EXPECT_GE(scrapes, 1);
+    EXPECT_EQ(b.stats().retired, 6);
 }
 
 TEST(TelemetryIncidents, ZscoreOutlierFiresOnce)

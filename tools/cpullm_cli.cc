@@ -192,37 +192,18 @@ batchingFlag(const std::map<std::string, std::string>& flags,
     return v;
 }
 
-/** host.batch.* run-report metrics of one continuous-batching host
- *  session (the report-side twin of the cpullm_host_batch_* gauges). */
+/**
+ * The run-report keys that belong to one continuous-batching host
+ * session, not to the process: its wall time and token rate. The
+ * process-wide host.batch.* series come from the host-series table.
+ */
 void
-addHostBatchMetrics(obs::RunReport& report,
-                    const engine::HostBatchResult& hb)
+addHostBatchRunMetrics(obs::RunReport& report,
+                       const engine::HostBatchResult& hb)
 {
     report.info["batching"] = "continuous";
-    auto m = [&report](const char* key, double v) {
-        report.metrics[std::string("host.batch.") + key] = v;
-    };
-    m("steps", static_cast<double>(hb.stats.steps));
-    m("decoded_tokens", static_cast<double>(hb.stats.decodedTokens));
-    m("prefill_tokens", static_cast<double>(hb.stats.prefillTokens));
-    m("admitted", static_cast<double>(hb.stats.admitted));
-    m("retired", static_cast<double>(hb.stats.retired));
-    m("preemptions", static_cast<double>(hb.stats.preemptions));
-    m("admission_rejections",
-      static_cast<double>(hb.stats.admissionRejections));
-    m("prefix_hits", static_cast<double>(hb.stats.prefixHits));
-    m("prefix_tokens_reused",
-      static_cast<double>(hb.stats.prefixTokensReused));
-    m("mean_occupancy", hb.stats.meanOccupancy());
-    m("peak_occupancy",
-      static_cast<double>(hb.stats.peakOccupancy));
-    m("kv_blocks_total", static_cast<double>(hb.snapshot.blocksTotal));
-    m("kv_blocks_peak",
-      static_cast<double>(hb.snapshot.peakBlocksInUse));
-    m("kv_prefix_shared_blocks",
-      static_cast<double>(hb.snapshot.prefixSharedBlocks));
-    m("wall_s", hb.wallSeconds);
-    m("tokens_per_s", hb.tokensPerSecond());
+    report.metrics["host.batch.wall_s"] = hb.wallSeconds;
+    report.metrics["host.batch.tokens_per_s"] = hb.tokensPerSecond();
 }
 
 /**
@@ -515,20 +496,14 @@ cmdRun(const Flags& flags, const core::RuntimeOptions& rt)
         obs::RunReport report = obs::makeInferenceReport(
             platform.label(), spec.name, w, r.timing, r.counters,
             &r.attribution);
+        stats::Registry host;
+        serve::recordHostStats(host);
+        serve::addHostMetrics(report, host);
         if (continuous)
-            addHostBatchMetrics(report, hb);
+            addHostBatchRunMetrics(report, hb);
         if (eng.weightQuant() != gemm::WeightDtype::Native) {
             report.info["wquant"] =
                 gemm::weightDtypeName(eng.weightQuant());
-            const gemm::QuantStats qs = gemm::quantStats();
-            report.metrics["host.quant.tensors"] =
-                static_cast<double>(qs.tensors);
-            report.metrics["host.quant.packed_bytes"] =
-                static_cast<double>(qs.packedBytes);
-            report.metrics["host.quant.native_bytes"] =
-                static_cast<double>(qs.nativeBytes);
-            report.metrics["host.quant.max_abs_err"] = qs.maxAbsErr;
-            report.metrics["host.quant.rms_err"] = qs.rmsErr;
             if (const model::TransformerModel* fm =
                     eng.functionalModel()) {
                 const auto layers = fm->layerQuantErrors();
@@ -975,7 +950,7 @@ cmdServe(const Flags& flags, const core::RuntimeOptions& rt,
         res, cfg, platform_label, spec.name, w, policy, reg);
     telemetry.annotateReport(report);
     if (hostres)
-        addHostBatchMetrics(report, *hostres);
+        addHostBatchRunMetrics(report, *hostres);
     telemetry.setLatestReportJson(report.toJson());
 
     if (tp && tracer.writeChromeTraceFile(flags.at("trace-out")))
@@ -1277,11 +1252,7 @@ cmdBench(const Flags& flags, const core::RuntimeOptions& rt)
 
     stats::Registry reg;
     const auto baselines = core::runBenchSuite(opt, &reg);
-    obs::recordHostPoolStats(reg);
-    obs::recordHostAttnStats(reg);
-    obs::recordHostPmuStats(reg);
-    obs::recordHostQuantStats(reg);
-    serve::recordHostBatchStats(reg);
+    serve::recordHostStats(reg);
     int written = 0;
     for (const auto& b : baselines) {
         if (core::writeBaseline(b, dir))
@@ -1355,6 +1326,8 @@ cmdCounters(const Flags& flags, const core::RuntimeOptions& rt)
         w.promptLen = 32;
     if (!flags.count("gen"))
         w.genLen = 32;
+    // The modeled side streams the weight format the kernels measure.
+    applyWquantToWorkload(flags, rt.wquant, &w);
     if (spec.weightBytes(w.dtype) > engine::kMaxFunctionalWeightBytes)
         usageError("model '" + spec.name +
                    "' is too large for functional execution; "
@@ -1418,7 +1391,7 @@ cmdCounters(const Flags& flags, const core::RuntimeOptions& rt)
     if (flags.count("json") || flags.count("out")) {
         const std::string doc = strformat(
             "{\"model\":\"%s\",\"platform\":\"%s\",\"batch\":%lld,"
-            "\"prompt\":%lld,\"gen\":%lld,"
+            "\"prompt\":%lld,\"gen\":%lld,\"wquant\":\"%s\","
             "\"counters\":{\"requested\":\"%s\",\"backend\":\"%s\","
             "\"paranoid\":%d,\"hw_events\":%d,"
             "\"thread_groups\":%llu,\"imc\":%s},"
@@ -1433,7 +1406,7 @@ cmdCounters(const Flags& flags, const core::RuntimeOptions& rt)
             spec.name.c_str(), platform.label().c_str(),
             static_cast<long long>(w.batch),
             static_cast<long long>(w.promptLen),
-            static_cast<long long>(w.genLen),
+            static_cast<long long>(w.genLen), dtypeName(w.dtype).c_str(),
             obs::pmu::modeName(rt.counters),
             backend_name.c_str(), probe.paranoid, hw_events,
             static_cast<unsigned long long>(groups),
@@ -1690,7 +1663,8 @@ usage()
            "runtime (iteration-level scheduling, paged-KV pool,\n"
            "shared-prefix reuse) on the functional model; results\n"
            "surface as host.batch.* report metrics and\n"
-           "cpullm_host_batch_* /metrics series.\n"
+           "cpullm_host_batch_* /metrics series (README \"Host\n"
+           "series\" lists every host.* key).\n"
            "--profile-hz samples logical stacks with SIGPROF;\n"
            "--flightrec-out records the last N events and dumps them\n"
            "at exit, on crash, and (serve) on SLO incidents.\n";
